@@ -3,16 +3,18 @@
 Every sampling path is driven by an explicit seed so identical
 invocations produce byte-identical output.  Exit codes: 0 when results
 match the known expectations for the tower, 1 on mismatch or internal
-inconsistency, 2 on usage errors.
+inconsistency, 2 on usage errors, input values the command rejects
+included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import properties, projective, topology
 from .algebra import CDNumber, TableSizeError, build_table, cd_to_json
@@ -22,7 +24,7 @@ AUDIT_PROPERTIES = (
     "associative",
     "alternative",
     "flexible",
-    "norm_multiplicative",
+    "norm-multiplicative",
 )
 AUDIT_LEVELS = (0, 1, 2, 3, 4)
 
@@ -36,81 +38,64 @@ _CHECKERS = {
 }
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    level: int
-    samples: int
-    seed: int
-    tolerance: float
-    output_format: str  # "text" | "json"
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace, default_level: int) -> "RunConfig":
-        return cls(
-            subcommand=args.command,
-            level=args.level if args.level is not None else default_level,
-            samples=args.samples,
-            seed=args.seed,
-            tolerance=args.tol,
-            output_format="json" if args.json else "text",
-        )
-
-
-def _emit(cfg: RunConfig, payload, text_lines) -> None:
-    if cfg.output_format == "json":
+def _emit(args: argparse.Namespace, payload, text_lines) -> None:
+    if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:
             print(line)
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    table = build_table(cfg.level)
+def _cmd_table(args: argparse.Namespace) -> int:
+    table = build_table(args.level)
     doc = table.to_json()
-    lines = [f"multiplication table, level {cfg.level} (dim {table.dim})"]
+    lines = [f"multiplication table, level {args.level} (dim {table.dim})"]
     for i, row in enumerate(table.rows()):
         cells = []
         for s, k in row:
             cells.append(f"{'+' if s > 0 else '-'}e{k}")
         lines.append(f"e{i} * : " + " ".join(f"{c:>5s}" for c in cells))
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0
 
 
-def _cmd_check(cfg: RunConfig, prop: str) -> int:
-    checker = _CHECKERS[prop]
-    report = checker(cfg.level, cfg.samples, seed=cfg.seed)
-    match = report.matches_expectation()
-    payload = report.to_json()
-    payload["expected"] = properties.expected_verdict(report.name, cfg.level)
-    payload["match"] = match
-    payload["seed"] = cfg.seed
+def _judged(report: properties.PropertyReport) -> dict:
+    """The report's JSON with the tower's expected verdict and whether it matches."""
+    entry = report.to_json()
+    entry["expected"] = properties.expected_verdict(report.name, report.level)
+    entry["match"] = report.matches_expectation()
+    return entry
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    report = _CHECKERS[args.property](args.level, args.samples, seed=args.seed)
+    payload = _judged(report)
+    payload["seed"] = args.seed
     lines = [
-        f"{report.name} at level {cfg.level}: {report.verdict} "
-        f"(expected {payload['expected']}, {report.samples} candidates, seed {cfg.seed})"
+        f"{report.name} at level {args.level}: {report.verdict} "
+        f"(expected {payload['expected']}, {report.samples} candidates, seed {args.seed})"
     ]
     if report.counterexample:
         lines.extend(f"  witness: {x!r}" for x in report.counterexample)
-    _emit(cfg, payload, lines)
-    return 0 if match else 1
+    _emit(args, payload, lines)
+    return 0 if payload["match"] else 1
 
 
-def _cmd_zero_divisors(cfg: RunConfig) -> int:
-    pairs = properties.find_zero_divisors(cfg.level)
-    expected_nonempty = not properties.EXPECTED_HOLDS["division"](cfg.level)
+def _cmd_zero_divisors(args: argparse.Namespace) -> int:
+    pairs = properties.find_zero_divisors(args.level)
+    expected_nonempty = not properties.EXPECTED_HOLDS["division"](args.level)
     match = bool(pairs) == expected_nonempty
     payload = {
-        "level": cfg.level,
+        "level": args.level,
         "count": len(pairs),
         "match": match,
         "pairs": [[cd_to_json(u), cd_to_json(v)] for u, v in pairs],
     }
-    lines = [f"level {cfg.level}: {len(pairs)} zero-divisor pairs"]
+    lines = [f"level {args.level}: {len(pairs)} zero-divisor pairs"]
     lines.extend(f"  ({u!r}) * ({v!r}) = 0" for u, v in pairs[:10])
     if len(pairs) > 10:
         lines.append(f"  ... {len(pairs) - 10} more")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if match else 1
 
 
@@ -122,13 +107,13 @@ def _coordinate_functionals() -> list[projective.Functional]:
     ]
 
 
-def _cmd_chart_roundtrip(cfg: RunConfig) -> int:
-    dim = cfg.level
+def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
+    dim = args.level
     level = projective.level_for_dim(dim)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     max_error = 0.0
     for f in _coordinate_functionals():
-        for _ in range(cfg.samples):
+        for _ in range(args.samples):
             u = CDNumber(level, tuple(rng.gauss(0.0, 1.0) for _ in range(dim)))
             v = CDNumber(level, tuple(rng.gauss(0.0, 1.0) for _ in range(dim)))
             p = projective.chart_backward(f, u, v)
@@ -137,31 +122,31 @@ def _cmd_chart_roundtrip(cfg: RunConfig) -> int:
             q = projective.equivalent_representative(p, rng)
             u3, v3 = projective.chart_forward(f, q)
             max_error = max(max_error, (u3 - u2).max_abs(), (v3 - v2).max_abs())
-    verdict = "pass" if max_error < cfg.tolerance else "fail"
+    verdict = "pass" if max_error < args.tol else "fail"
     payload = {
         "level": dim,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "samples": args.samples,
+        "seed": args.seed,
         "max_error": max_error,
         "verdict": verdict,
     }
     _emit(
-        cfg,
+        args,
         payload,
         [
             f"chart round trips, dimension {dim}: max error {max_error:.3e} "
-            f"over {cfg.samples} samples x 3 functionals (seed {cfg.seed}): {verdict}"
+            f"over {args.samples} samples x 3 functionals (seed {args.seed}): {verdict}"
         ],
     )
     return 0 if verdict == "pass" else 1
 
 
-def _cmd_equiv_check(cfg: RunConfig) -> int:
-    dim = cfg.level
-    rng = random.Random(cfg.seed)
+def _cmd_equiv_check(args: argparse.Namespace) -> int:
+    dim = args.level
+    rng = random.Random(args.seed)
     max_error = 0.0
     separated = True
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         p = projective.random_triple_point(dim, rng)
         q = projective.equivalent_representative(p, rng)
         r = projective.equivalent_representative(q, rng)
@@ -176,111 +161,89 @@ def _cmd_equiv_check(cfg: RunConfig) -> int:
             projective.separating_functional(p, other)
         except projective.SeparationError:
             separated = False
-    verdict = "pass" if (max_error < cfg.tolerance and separated) else "fail"
+    verdict = "pass" if (max_error < args.tol and separated) else "fail"
     payload = {
         "level": dim,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "samples": args.samples,
+        "seed": args.seed,
         "max_error": max_error,
         "verdict": verdict,
     }
     _emit(
-        cfg,
+        args,
         payload,
         [
             f"equivalence invariance, dimension {dim}: max drift {max_error:.3e} "
-            f"over {cfg.samples} samples (seed {cfg.seed}): {verdict}"
+            f"over {args.samples} samples (seed {args.seed}): {verdict}"
         ],
     )
     return 0 if verdict == "pass" else 1
 
 
-def _cmd_cohomology(cfg: RunConfig, space: str, coeffs: str) -> int:
-    cw = topology.builtin_cw(space)
-    system = topology.CoefficientSpec.parse(coeffs)
+def _cmd_cohomology(args: argparse.Namespace) -> int:
+    cw = topology.builtin_cw(args.space)
+    system = topology.CoefficientSpec.parse(args.coeffs)
     groups = topology.cohomology_profile(cw, system)
     payload = [
         {"degree": k, "group": g.to_json()} for k, g in enumerate(groups)
     ]
-    lines = [f"H^*({space}; {system})"]
+    lines = [f"H^*({args.space}; {system})"]
     for k, g in enumerate(groups):
         if not g.is_trivial:
             lines.append(f"  H^{k} = {g}")
     if all(g.is_trivial for g in groups):
         lines.append("  trivial in all degrees")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_hopf(cfg: RunConfig, mode: str, segments: int) -> int:
-    if mode == "bidegree":
+def _cmd_hopf(args: argparse.Namespace) -> int:
+    if args.mode == "bidegree":
         left, right = topology.multiplication_bidegree(
-            cfg.level, cfg.samples, seed=cfg.seed
+            args.level, args.samples, seed=args.seed
         )
         payload = {
             "hopf_invariant": left * right,
-            "method": f"multiplication-bidegree proxy (level {cfg.level})",
+            "method": f"multiplication-bidegree proxy (level {args.level})",
             "bidegree": [left, right],
-            "seed": cfg.seed,
+            "seed": args.seed,
         }
         lines = [
-            f"bidegree proxy at level {cfg.level}: ({left:+d}, {right:+d}) "
+            f"bidegree proxy at level {args.level}: ({left:+d}, {right:+d}) "
             f"-> hopf invariant {left * right:+d}"
         ]
     else:
         value = topology.linking_hopf_invariant(
-            samples=cfg.samples, segments=segments, seed=cfg.seed
+            samples=args.samples, segments=args.segments, seed=args.seed
         )
         payload = {
             "hopf_invariant": value,
             "method": "gauss-linking proxy (complex fibration)",
-            "segments": segments,
-            "seed": cfg.seed,
+            "segments": args.segments,
+            "seed": args.seed,
         }
         lines = [
-            f"linking proxy (complex case, {segments} segments, seed {cfg.seed}): "
+            f"linking proxy (complex case, {args.segments} segments, seed {args.seed}): "
             f"{value:+d}"
         ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_audit_all(cfg: RunConfig) -> int:
+def _cmd_audit_all(args: argparse.Namespace) -> int:
     checks = []
-    all_match = True
     for level in AUDIT_LEVELS:
         for prop in AUDIT_PROPERTIES:
-            checker = _CHECKERS[prop.replace("_", "-")]
-            report = checker(level, cfg.samples, seed=cfg.seed)
-            entry = report.to_json()
-            entry["expected"] = properties.expected_verdict(report.name, level)
-            entry["match"] = report.matches_expectation()
-            checks.append(entry)
-            all_match = all_match and entry["match"]
-        pairs = properties.find_zero_divisors(level)
-        has_divisors = bool(pairs)
-        expected = properties.expected_verdict("division", level)
-        verdict = "fails" if has_divisors else "holds"
-        entry = {
-            "property": "division",
-            "level": level,
-            "verdict": verdict,
-            "expected": expected,
-            "match": verdict == expected,
-            "samples": 0 if level <= 3 else len(properties.two_term_elements(level)) ** 2,
-            "counterexample": None
-            if not pairs
-            else [cd_to_json(pairs[0][0]), cd_to_json(pairs[0][1])],
-        }
-        checks.append(entry)
-        all_match = all_match and entry["match"]
+            checks.append(_judged(_CHECKERS[prop](level, args.samples, seed=args.seed)))
+        checks.append(_judged(properties.check_division(level)))
+    all_match = all(entry["match"] for entry in checks)
     payload = {
-        "seed": cfg.seed,
-        "samples": cfg.samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "checks": checks,
         "all_match": all_match,
     }
-    lines = [f"audit over levels {AUDIT_LEVELS} (seed {cfg.seed}, samples {cfg.samples})"]
+    lines = [f"audit over levels {AUDIT_LEVELS} (seed {args.seed}, samples {args.samples})"]
     for entry in checks:
         flag = "ok " if entry["match"] else "BAD"
         lines.append(
@@ -288,8 +251,66 @@ def _cmd_audit_all(cfg: RunConfig) -> int:
             f"{entry['verdict']} (expected {entry['expected']})"
         )
     lines.append("all verdicts match" if all_match else "MISMATCH against expectations")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if all_match else 1
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, its default --level and its own arguments."""
+
+    handler: Callable[[argparse.Namespace], int]
+    default_level: int
+    help: str
+    arguments: tuple = ()  # (flag, add_argument keywords) pairs
+
+
+COMMANDS: dict[str, Command] = {
+    "table": Command(_cmd_table, 3, "signed basis multiplication table"),
+    "check": Command(
+        _cmd_check,
+        3,
+        "run one property checker",
+        (("--property", dict(required=True, choices=sorted(_CHECKERS), help="property to check")),),
+    ),
+    "zero-divisors": Command(_cmd_zero_divisors, 4, "two-term zero-divisor scan"),
+    "chart-roundtrip": Command(
+        _cmd_chart_roundtrip, 8, "chart round-trip errors; --level is 1|2|4|8"
+    ),
+    "equiv-check": Command(_cmd_equiv_check, 8, "equivalence invariance; --level is 1|2|4|8"),
+    "cohomology": Command(
+        _cmd_cohomology,
+        0,
+        "cellular cohomology of a built-in space",
+        (
+            ("--space", dict(required=True, help="RP2, CP2, HP2, OP2, OP1/S8, hypothetical-OP3")),
+            ("--coeffs", dict(default="Z", help="Z, Q, or Zmod:m")),
+        ),
+    ),
+    "hopf": Command(
+        _cmd_hopf,
+        3,
+        "hopf-invariant proxies",
+        (
+            ("--mode", dict(choices=("bidegree", "linking"), default="bidegree")),
+            ("--segments", dict(type=int, default=256, help="polygon segments for linking mode")),
+        ),
+    ),
+    "audit-all": Command(_cmd_audit_all, 0, "full expectation matrix, levels 0-4"),
+}
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,78 +320,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--level", type=int, default=None, help="algebra level (or dimension for chart commands)")
-    common.add_argument("--samples", type=int, default=100, help="random samples per check")
+    common.add_argument("--samples", type=positive_int, default=100, help="random samples per check")
     common.add_argument("--seed", type=int, default=0, help="PRNG seed; echoed in reports")
-    common.add_argument("--tol", type=float, default=1e-9, help="tolerance for float comparisons")
+    common.add_argument("--tol", type=positive_finite_float, default=1e-9, help="tolerance for float comparisons")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table", parents=[common], help="signed basis multiplication table")
-    p_check = sub.add_parser("check", parents=[common], help="run one property checker")
-    p_check.add_argument(
-        "--property", required=True, choices=sorted(_CHECKERS), help="property to check"
-    )
-    sub.add_parser("zero-divisors", parents=[common], help="two-term zero-divisor scan")
-    sub.add_parser(
-        "chart-roundtrip", parents=[common], help="chart round-trip errors; --level is 1|2|4|8"
-    )
-    sub.add_parser(
-        "equiv-check", parents=[common], help="equivalence invariance; --level is 1|2|4|8"
-    )
-    p_coh = sub.add_parser("cohomology", parents=[common], help="cellular cohomology of a built-in space")
-    p_coh.add_argument("--space", required=True, help="RP2, CP2, HP2, OP2, OP1/S8, hypothetical-OP3")
-    p_coh.add_argument("--coeffs", default="Z", help="Z, Q, or Zmod:m")
-    p_hopf = sub.add_parser("hopf", parents=[common], help="hopf-invariant proxies")
-    p_hopf.add_argument("--mode", choices=("bidegree", "linking"), default="bidegree")
-    p_hopf.add_argument("--segments", type=int, default=256, help="polygon segments for linking mode")
-    sub.add_parser("audit-all", parents=[common], help="full expectation matrix, levels 0-4")
+    for name, command in COMMANDS.items():
+        # --level has no per-subcommand default here: subparsers built from
+        # the same parent share one --level action, so the last default set
+        # would win for all of them
+        sub_parser = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, keywords in command.arguments:
+            sub_parser.add_argument(flag, **keywords)
     return parser
 
 
-_DEFAULT_LEVELS = {
-    "table": 3,
-    "check": 3,
-    "zero-divisors": 4,
-    "chart-roundtrip": 8,
-    "equiv-check": 8,
-    "cohomology": 0,
-    "hopf": 3,
-    "audit-all": 0,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args, _DEFAULT_LEVELS[args.command])
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    if args.level is None:
+        args.level = command.default_level
     try:
-        if args.command == "table":
-            return _cmd_table(cfg)
-        if args.command == "check":
-            return _cmd_check(cfg, args.property)
-        if args.command == "zero-divisors":
-            return _cmd_zero_divisors(cfg)
-        if args.command == "chart-roundtrip":
-            return _cmd_chart_roundtrip(cfg)
-        if args.command == "equiv-check":
-            return _cmd_equiv_check(cfg)
-        if args.command == "cohomology":
-            return _cmd_cohomology(cfg, args.space, args.coeffs)
-        if args.command == "hopf":
-            return _cmd_hopf(cfg, args.mode, args.segments)
-        if args.command == "audit-all":
-            return _cmd_audit_all(cfg)
+        return command.handler(args)
     except (
-        TableSizeError,
         topology.InconsistencyError,
         topology.GeometryError,
         projective.SeparationError,
-        KeyError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
+    except (TableSizeError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

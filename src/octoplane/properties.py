@@ -1,10 +1,26 @@
 """Property checkers for the Cayley-Dickson tower.
 
-Each checker sweeps an exhaustive deterministic candidate set (basis
-elements, plus two-term signed basis sums at level >= 4 where the
-interesting failures live) and then a seeded batch of random exact
-samples.  Verdicts are exact: a "fails" report always carries a
-counterexample that violates the defining identity with no tolerance.
+Each identity is written once, as a predicate on two or three elements
+that is true when they violate it.  One sweep runs a checker's predicate
+over three phases of candidate tuples, in this order:
+
+1. basis: every tuple of basis elements, in lexicographic index order.
+   The predicate runs on signed basis units, whose products come from the
+   level's multiplication table, so the phase costs table reads rather
+   than coordinate products; a hit is reported as the candidate tuple of
+   ``CDNumber.basis`` elements.
+2. two-term: at level >= 4, ordered pairs of two-term signed basis sums
+   e_i +/- e_j, where the failures that basis tuples cannot see live.
+   A checker sweeps all of them or a fixed prefix, so such a failure
+   reproduces without any seed.
+3. random: ``samples`` seeded random tuples with exact integer entries.
+
+The first violating candidate ends the sweep.  Verdicts are exact:
+a "fails" report always carries a counterexample that violates the
+identity with no tolerance.  ``samples`` in a report counts the
+candidates examined, with one convention: the basis phase counts whole,
+dim**arity, even when its violation comes early; the pinned ``audit-all``
+output relies on it.
 """
 
 from __future__ import annotations
@@ -13,6 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import CDNumber, build_table, cd_to_json
@@ -87,123 +104,118 @@ def two_term_elements(level: int) -> list[CDNumber]:
     return out
 
 
-def _check_level(level: int, samples: int, cap: int = MAX_CHECK_LEVEL) -> None:
-    if not 0 <= level <= cap:
-        raise ValueError(f"level must be in [0, {cap}], got {level}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+def _two_term_pairs(level: int) -> Iterator[tuple[CDNumber, CDNumber]]:
+    """Every ordered pair of two-term elements, first element major."""
+    return itertools.product(two_term_elements(level), repeat=2)
 
 
-def _basis(level: int, index: int) -> CDNumber:
-    return CDNumber.basis(level, index)
+# -- the identities, each written once: true when the tuple violates it ---
 
 
-def _run_pair_check(
+def _noncommuting(x, y) -> bool:
+    return x * y != y * x
+
+
+def _nonassociating(x, y, z) -> bool:
+    return (x * y) * z != x * (y * z)
+
+
+def _nonalternative(x, y) -> bool:
+    return x * (y * y) != (x * y) * y or (x * x) * y != x * (x * y)
+
+
+def _nonflexible(x, y) -> bool:
+    return x * (y * x) != (x * y) * x
+
+
+def _norm_nonmultiplicative(x, y) -> bool:
+    return (x * y).norm_sq() != x.norm_sq() * y.norm_sq()
+
+
+# -- the sweep --------------------------------------------------------------
+
+
+class _Unit:
+    """The signed basis element sign * e_index at one level.
+
+    Implements just what the identity predicates use, so the basis phase
+    evaluates the same predicates as the other phases.  ``_units`` interns
+    the units of a level, so equality is identity and a product is one
+    list lookup, filled in from the level's multiplication table.
+    """
+
+    __slots__ = ("sign", "index", "position", "products")
+
+    def __init__(self, sign: int, index: int, position: int):
+        self.sign = sign
+        self.index = index
+        self.position = position
+        self.products: list[_Unit] = []
+
+    def __mul__(self, other: "_Unit") -> "_Unit":
+        return self.products[other.position]
+
+    def norm_sq(self) -> int:
+        return self.sign * self.sign
+
+
+@lru_cache(maxsize=None)
+def _units(level: int) -> tuple[_Unit, ...]:
+    """The signed basis units at ``level``: +e_i at position i, -e_i at dim + i."""
+    table = build_table(level)
+    dim = table.dim
+    units = [_Unit(sign, p % dim, p) for p, sign in enumerate([1] * dim + [-1] * dim)]
+    for x in units:
+        for y in units:
+            s, k = table.entry(x.index, y.index)
+            x.products.append(units[k if x.sign * y.sign * s > 0 else dim + k])
+    return tuple(units)
+
+
+def _sweep(
     name: str,
     level: int,
     samples: int,
     seed: int,
-    violates: Callable[[CDNumber, CDNumber], bool],
-    basis_violation: Callable[[int], Optional[tuple[int, int]]],
-    sweep_two_terms: bool,
+    arity: int,
+    violates: Callable[..., object],
+    basis: bool = True,
+    two_term: Optional[int] = 0,
+    cap: int = MAX_CHECK_LEVEL,
 ) -> PropertyReport:
+    """Run ``violates`` over the basis, two-term and random phases in order.
+
+    ``violates(*candidate)`` is false when the candidate keeps the property;
+    otherwise it is True, making the candidate the counterexample, or the
+    counterexample itself.  ``two_term`` caps the level >= 4 pair phase:
+    0 skips it, None sweeps every pair.
+    """
+    if not 0 <= level <= cap:
+        raise ValueError(f"level must be in [0, {cap}], got {level}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     tested = 0
-
-    dim = 1 << level
-    hit = basis_violation(level)
-    tested += dim * dim
-    if hit is not None:
-        pair = (_basis(level, hit[0]), _basis(level, hit[1]))
-        return PropertyReport(name, level, "fails", pair, tested)
-
-    if sweep_two_terms and level >= 4:
-        candidates = two_term_elements(level)
-        for x in candidates:
-            for y in candidates:
-                tested += 1
-                if violates(x, y):
-                    return PropertyReport(name, level, "fails", (x, y), tested)
+    if basis:
+        units = _units(level)[: 1 << level]
+        tested = len(units) ** arity
+        for xs in itertools.product(units, repeat=arity):
+            if violates(*xs):
+                hit = tuple(CDNumber.basis(level, u.index) for u in xs)
+                return PropertyReport(name, level, "fails", hit, tested)
 
     rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_exact(level, rng)
-        y = random_exact(level, rng)
+    draws = (random_exact(level, rng) for _ in range(arity * samples))
+    candidates: Iterable[tuple] = zip(*[draws] * arity)  # arity draws per candidate
+    if level >= 4 and two_term != 0:
+        candidates = itertools.chain(
+            itertools.islice(_two_term_pairs(level), two_term), candidates
+        )
+    for xs in candidates:
         tested += 1
-        if violates(x, y):
-            return PropertyReport(name, level, "fails", (x, y), tested)
-
+        hit = violates(*xs)
+        if hit:
+            return PropertyReport(name, level, "fails", xs if hit is True else hit, tested)
     return PropertyReport(name, level, "holds", None, tested)
-
-
-# -- basis sweeps through the signed table (integer arithmetic only) -----
-
-
-def _basis_commutative_violation(level):
-    t = build_table(level)
-    for i in range(t.dim):
-        for j in range(t.dim):
-            if t.entry(i, j) != t.entry(j, i):
-                return i, j
-    return None
-
-
-def _basis_alternative_violation(level):
-    t = build_table(level)
-    for i in range(t.dim):
-        for j in range(t.dim):
-            sjj, kjj = t.entry(j, j)
-            s1, m = t.entry(i, j)
-            s2, r = t.entry(m, j)
-            # x(yy) = (xy)y: e_j^2 is sjj*e_0, so lhs = sjj*e_i
-            if not (kjj == 0 and r == i and s1 * s2 == sjj):
-                return i, j
-            sii, kii = t.entry(i, i)
-            s3, m3 = t.entry(i, j)
-            s4, r4 = t.entry(i, m3)
-            # (xx)y = x(xy)
-            if not (kii == 0 and r4 == j and s3 * s4 == sii):
-                return i, j
-    return None
-
-
-def _basis_flexible_violation(level):
-    t = build_table(level)
-    for i in range(t.dim):
-        for j in range(t.dim):
-            s1, m = t.entry(j, i)
-            s2, r = t.entry(i, m)  # x(yx)
-            s3, m3 = t.entry(i, j)
-            s4, r3 = t.entry(m3, i)  # (xy)x
-            if r != r3 or s1 * s2 != s3 * s4:
-                return i, j
-    return None
-
-
-def _basis_norm_violation(level):
-    # basis products are signed basis elements, so norms multiply as long
-    # as each entry really is one; the sweep just re-reads the table
-    t = build_table(level)
-    for i in range(t.dim):
-        for j in range(t.dim):
-            s, _ = t.entry(i, j)
-            if s not in (1, -1):
-                return i, j
-    return None
-
-
-def _basis_associative_violation(level):
-    t = build_table(level)
-    dim = t.dim
-    for i in range(dim):
-        for j in range(dim):
-            s1, m = t.entry(i, j)
-            for k in range(dim):
-                s2, r = t.entry(m, k)  # (ij)k
-                s3, m3 = t.entry(j, k)
-                s4, r3 = t.entry(i, m3)  # i(jk)
-                if r != r3 or s1 * s2 != s3 * s4:
-                    return i, j, k
-    return None
 
 
 # -- the public checkers --------------------------------------------------
@@ -211,89 +223,33 @@ def _basis_associative_violation(level):
 
 def check_commutative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """xy = yx; survives only up to the complex numbers."""
-    _check_level(level, samples)
-    return _run_pair_check(
-        "commutative",
-        level,
-        samples,
-        seed,
-        lambda x, y: x * y != y * x,
-        _basis_commutative_violation,
-        sweep_two_terms=False,
-    )
+    return _sweep("commutative", level, samples, seed, 2, _noncommuting)
 
 
 def check_associative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """(xy)z = x(yz); survives up to the quaternions."""
-    _check_level(level, samples)
-    tested = 0
-    hit = _basis_associative_violation(level)
-    dim = 1 << level
-    tested += dim ** 3
-    if hit is not None:
-        triple = tuple(_basis(level, i) for i in hit)
-        return PropertyReport("associative", level, "fails", triple, tested)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x, y, z = (random_exact(level, rng) for _ in range(3))
-        tested += 1
-        if not associator(x, y, z).is_zero():
-            return PropertyReport("associative", level, "fails", (x, y, z), tested)
-    return PropertyReport("associative", level, "holds", None, tested)
+    return _sweep("associative", level, samples, seed, 3, _nonassociating)
 
 
 def check_alternative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """x(yy) = (xy)y and (xx)y = x(xy); survives up to the octonions.
 
     Basis pairs alone pass even at level 4, so from level 4 up the check
-    also sweeps two-term signed basis sums, where the failures are.
+    also sweeps every pair of two-term signed basis sums, where the
+    failures are.
     """
-    _check_level(level, samples)
-
-    def violates(x: CDNumber, y: CDNumber) -> bool:
-        return x * (y * y) != (x * y) * y or (x * x) * y != x * (x * y)
-
-    return _run_pair_check(
-        "alternative",
-        level,
-        samples,
-        seed,
-        violates,
-        _basis_alternative_violation,
-        sweep_two_terms=True,
-    )
+    return _sweep("alternative", level, samples, seed, 2, _nonalternative, two_term=None)
 
 
 def check_flexible(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """x(yx) = (xy)x; holds at every level of the tower."""
-    _check_level(level, samples)
-    return _run_pair_check(
-        "flexible",
-        level,
-        samples,
-        seed,
-        lambda x, y: x * (y * x) != (x * y) * x,
-        _basis_flexible_violation,
-        sweep_two_terms=False,
-    )
+    return _sweep("flexible", level, samples, seed, 2, _nonflexible)
 
 
 def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """|xy|^2 = |x|^2 |y|^2 exactly; fails from the sedenions on."""
-    _check_level(level, samples)
-
-    def violates(x: CDNumber, y: CDNumber) -> bool:
-        return (x * y).norm_sq() != x.norm_sq() * y.norm_sq()
-
-    return _run_pair_check(
-        "norm_multiplicative",
-        level,
-        samples,
-        seed,
-        violates,
-        _basis_norm_violation,
-        sweep_two_terms=True,
-    )
+    violates = _norm_nonmultiplicative
+    return _sweep("norm_multiplicative", level, samples, seed, 2, violates, two_term=None)
 
 
 def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
@@ -309,13 +265,22 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
         return []
     if level > MAX_CHECK_LEVEL:
         raise ValueError(f"level must be <= {MAX_CHECK_LEVEL}, got {level}")
-    candidates = two_term_elements(level)
-    found = []
-    for u in candidates:
-        for v in candidates:
-            if (u * v).is_zero():
-                found.append((u, v))
-    return found
+    return [(u, v) for u, v in _two_term_pairs(level) if (u * v).is_zero()]
+
+
+def check_division(level: int) -> PropertyReport:
+    """No zero divisors among two-term signed basis sums; fails from the sedenions on.
+
+    The counterexample is the first pair ``find_zero_divisors`` returns.
+    ``samples`` counts the whole pattern, (2 * C(dim, 2))^2 pairs, since
+    the scan is exhaustive; it is 0 below level 4, where no scan runs.
+    """
+    pairs = find_zero_divisors(level)
+    dim = 1 << level
+    scanned = (dim * (dim - 1)) ** 2 if level >= 4 else 0
+    if pairs:
+        return PropertyReport("division", level, "fails", pairs[0], scanned)
+    return PropertyReport("division", level, "holds", None, scanned)
 
 
 def _word_closure(x: CDNumber, y: CDNumber, max_len: int) -> list[CDNumber]:
@@ -363,12 +328,9 @@ def _subalgebra_associator_violation(
     # the associator is trilinear, so it vanishes on all word triples iff
     # it vanishes on triples from a spanning subset of the words
     basis = _greedy_span_basis(words)
-    for a in basis:
-        for b in basis:
-            ab = a * b
-            for c in basis:
-                if ab * c != a * (b * c):
-                    return (a, b, c)
+    for triple in itertools.product(basis, repeat=3):
+        if _nonassociating(*triple):
+            return triple
     return None
 
 
@@ -379,40 +341,15 @@ def check_two_generated_associativity(
 
     Words in {x, y, x*, y*} up to ``word_length`` letters are formed under
     all parenthesizations and all associators among them must vanish
-    exactly.  True through the octonions, false for sedenions.
+    exactly.  True through the octonions, false for sedenions.  There is
+    no basis phase; at level 4 the first 512 two-term pairs come before
+    the random pairs, and the first violations sit early among them.
     """
-    _check_level(level, samples, cap=4)
     if word_length < 2:
         raise ValueError("word_length must be at least 2")
-    tested = 0
 
-    def examine(x, y):
-        hit = _subalgebra_associator_violation(x, y, word_length)
-        if hit is not None:
-            return PropertyReport(
-                "two_generated_associative", level, "fails", hit, tested
-            )
-        return None
+    def violates(x: CDNumber, y: CDNumber):
+        return _subalgebra_associator_violation(x, y, word_length)
 
-    if level >= 4:
-        # deterministic prefix of the two-term pattern, so a failure
-        # reproduces without any seed; the first violations sit early
-        candidates = two_term_elements(level)
-        pairs = itertools.islice(
-            ((u, v) for u in candidates for v in candidates), 512
-        )
-        for u, v in pairs:
-            tested += 1
-            report = examine(u, v)
-            if report is not None:
-                return report
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_exact(level, rng)
-        y = random_exact(level, rng)
-        tested += 1
-        report = examine(x, y)
-        if report is not None:
-            return report
-    return PropertyReport("two_generated_associative", level, "holds", None, tested)
+    name = "two_generated_associative"
+    return _sweep(name, level, samples, seed, 2, violates, basis=False, two_term=512, cap=4)

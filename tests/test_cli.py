@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from octoplane import topology
 from octoplane.cli import main
 
 
@@ -34,7 +36,7 @@ def test_table_text(capsys):
 
 
 def test_table_too_large(capsys):
-    assert main(["table", "--level", "7"]) == 1
+    assert main(["table", "--level", "7"]) == 2
 
 
 def test_check_matches_expectation_both_ways(capsys):
@@ -69,7 +71,7 @@ def test_chart_roundtrip(capsys):
 
 
 def test_chart_roundtrip_bad_dimension(capsys):
-    assert main(["chart-roundtrip", "--level", "3"]) == 1
+    assert main(["chart-roundtrip", "--level", "3"]) == 2
 
 
 def test_equiv_check(capsys):
@@ -94,7 +96,7 @@ def test_cohomology_mod_coefficients(capsys):
 
 
 def test_cohomology_unknown_space(capsys):
-    assert main(["cohomology", "--space", "OP4"]) == 1
+    assert main(["cohomology", "--space", "OP4"]) == 2
 
 
 def test_hopf_bidegree(capsys):
@@ -125,6 +127,16 @@ def test_audit_all(capsys):
     assert division4[0]["verdict"] == "fails" and division4[0]["match"] is True
 
 
+def test_audit_all_output_is_pinned(capsys):
+    # sha256 of the whole --json document at seed 42, default samples; any
+    # change to a verdict, a count or a counterexample changes it
+    code, out = run(capsys, "audit-all", "--seed", "42", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "16687245ae788d288248d25f584e13ff6de2b1b7473f03645c4c7e83921015ff"
+    )
+
+
 def test_audit_all_deterministic(capsys):
     _, first = run(capsys, "audit-all", "--samples", "25", "--seed", "42", "--json")
     _, second = run(capsys, "audit-all", "--samples", "25", "--seed", "42", "--json")
@@ -149,3 +161,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["check", "--property", "bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chart-roundtrip", "--samples", "0"],
+        ["equiv-check", "--samples", "0"],
+        ["check", "--property", "flexible", "--samples", "-3"],
+        ["chart-roundtrip", "--tol", "inf"],
+        ["chart-roundtrip", "--tol", "nan"],
+        ["equiv-check", "--tol", "0"],
+        ["equiv-check", "--tol", "-1e-9"],
+    ],
+)
+def test_vacuous_runs_are_usage_errors(capsys, argv):
+    # zero samples or a tolerance that admits everything would pass unearned
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--property", "commutative", "--level", "9"],
+        ["cohomology", "--space", "RP2", "--coeffs", "Zmod:1"],
+        ["hopf", "--mode", "bidegree", "--level", "5"],
+    ],
+)
+def test_rejected_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_mathematical_failure_exits_1(capsys, monkeypatch):
+    def no_pole(**kwargs):
+        raise topology.GeometryError("no usable stereographic pole found")
+
+    monkeypatch.setattr(topology, "linking_hopf_invariant", no_pole)
+    assert main(["hopf", "--mode", "linking"]) == 1
+    assert "no usable stereographic pole" in capsys.readouterr().err

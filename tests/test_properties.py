@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,6 +11,7 @@ from octoplane.properties import (
     check_alternative,
     check_associative,
     check_commutative,
+    check_division,
     check_flexible,
     check_norm_multiplicative,
     check_two_generated_associativity,
@@ -129,6 +131,16 @@ def test_associator_level_mismatch():
 # -- zero divisors -----------------------------------------------------------
 
 
+def test_division_report():
+    for level in (0, 1, 2, 3):
+        r = check_division(level)
+        assert r.verdict == "holds" and r.samples == 0 and r.counterexample is None
+    r = check_division(4)
+    assert r.verdict == "fails" and r.matches_expectation()
+    assert r.samples == len(two_term_elements(4)) ** 2 == 57600
+    assert r.counterexample == find_zero_divisors(4)[0]
+
+
 def test_zero_divisors_empty_through_octonions():
     for level in (0, 1, 2, 3):
         assert find_zero_divisors(level) == []
@@ -212,3 +224,49 @@ def test_bad_arguments():
         check_alternative(3, 0)
     with pytest.raises(ValueError):
         check_two_generated_associativity(5, 10)
+
+
+# -- the basis phase against the doubling recursion ----------------------------
+
+
+def _ref_norm(t):
+    return sum(c * c for c in t)
+
+
+REF_VIOLATIONS = {
+    check_commutative: (2, lambda x, y: ref_mul(x, y) != ref_mul(y, x)),
+    check_associative: (
+        3,
+        lambda x, y, z: ref_mul(ref_mul(x, y), z) != ref_mul(x, ref_mul(y, z)),
+    ),
+    check_alternative: (
+        2,
+        lambda x, y: ref_mul(x, ref_mul(y, y)) != ref_mul(ref_mul(x, y), y)
+        or ref_mul(ref_mul(x, x), y) != ref_mul(x, ref_mul(x, y)),
+    ),
+    check_flexible: (2, lambda x, y: ref_mul(x, ref_mul(y, x)) != ref_mul(ref_mul(x, y), x)),
+    check_norm_multiplicative: (
+        2,
+        lambda x, y: _ref_norm(ref_mul(x, y)) != _ref_norm(x) * _ref_norm(y),
+    ),
+}
+
+
+@pytest.mark.parametrize("checker", list(REF_VIOLATIONS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("level", range(5))
+def test_basis_phase_finds_first_failing_basis_tuple(checker, level):
+    arity, violates = REF_VIOLATIONS[checker]
+    dim = 1 << level
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    first = next(
+        (idx for idx in itertools.product(range(dim), repeat=arity)
+         if violates(*(units[i] for i in idx))),
+        None,
+    )
+    report = checker(level, 1, seed=0)
+    if first is None:
+        # the basis phase passed, so any witness comes from a later phase
+        assert report.samples > dim**arity
+    else:
+        assert report.samples == dim**arity  # the basis phase counts whole
+        assert report.counterexample == tuple(e(level, i) for i in first)
