@@ -14,7 +14,7 @@ import json
 import math
 import random
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import properties, projective, topology
 from .algebra import CDNumber, TableSizeError, build_table, cd_to_json
@@ -256,46 +256,58 @@ def _cmd_audit_all(args: argparse.Namespace) -> int:
 
 
 class Command(NamedTuple):
-    """One subcommand: its handler, its default --level and its own arguments."""
+    """One subcommand: its handler, the shared options it reads and its own arguments."""
 
     handler: Callable[[argparse.Namespace], int]
-    default_level: int
     help: str
+    shared: tuple[str, ...] = ()  # flags from SHARED_OPTIONS, in that order
+    default_level: Optional[int] = None  # for commands that read --level
     arguments: tuple = ()  # (flag, add_argument keywords) pairs
 
 
 COMMANDS: dict[str, Command] = {
-    "table": Command(_cmd_table, 3, "signed basis multiplication table"),
+    "table": Command(_cmd_table, "signed basis multiplication table", ("--level",), 3),
     "check": Command(
         _cmd_check,
-        3,
         "run one property checker",
+        ("--level", "--samples", "--seed"),
+        3,
         (("--property", dict(required=True, choices=sorted(_CHECKERS), help="property to check")),),
     ),
-    "zero-divisors": Command(_cmd_zero_divisors, 4, "two-term zero-divisor scan"),
+    "zero-divisors": Command(_cmd_zero_divisors, "two-term zero-divisor scan", ("--level",), 4),
     "chart-roundtrip": Command(
-        _cmd_chart_roundtrip, 8, "chart round-trip errors; --level is 1|2|4|8"
+        _cmd_chart_roundtrip,
+        "chart round-trip errors; --level is 1|2|4|8",
+        ("--level", "--samples", "--seed", "--tol"),
+        8,
     ),
-    "equiv-check": Command(_cmd_equiv_check, 8, "equivalence invariance; --level is 1|2|4|8"),
+    "equiv-check": Command(
+        _cmd_equiv_check,
+        "equivalence invariance; --level is 1|2|4|8",
+        ("--level", "--samples", "--seed", "--tol"),
+        8,
+    ),
     "cohomology": Command(
         _cmd_cohomology,
-        0,
         "cellular cohomology of a built-in space",
-        (
+        arguments=(
             ("--space", dict(required=True, help="RP2, CP2, HP2, OP2, OP1/S8, hypothetical-OP3")),
             ("--coeffs", dict(default="Z", help="Z, Q, or Zmod:m")),
         ),
     ),
     "hopf": Command(
         _cmd_hopf,
-        3,
         "hopf-invariant proxies",
+        ("--level", "--samples", "--seed"),
+        3,
         (
             ("--mode", dict(choices=("bidegree", "linking"), default="bidegree")),
             ("--segments", dict(type=int, default=256, help="polygon segments for linking mode")),
         ),
     ),
-    "audit-all": Command(_cmd_audit_all, 0, "full expectation matrix, levels 0-4"),
+    "audit-all": Command(
+        _cmd_audit_all, "full expectation matrix, levels 0-4", ("--samples", "--seed")
+    ),
 }
 
 
@@ -313,24 +325,28 @@ def positive_finite_float(text: str) -> float:
     return value
 
 
+#: Options several subcommands share; each reads only those its entry lists.
+SHARED_OPTIONS = {
+    "--level": dict(type=int, help="algebra level (or dimension for chart commands)"),
+    "--samples": dict(type=positive_int, default=100, help="random samples per check"),
+    "--seed": dict(type=int, default=0, help="PRNG seed; echoed in reports"),
+    "--tol": dict(type=positive_finite_float, default=1e-9, help="tolerance for float comparisons"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octoplane",
         description="Cayley-Dickson tower, projective-plane charts, and cell cohomology",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--level", type=int, default=None, help="algebra level (or dimension for chart commands)")
-    common.add_argument("--samples", type=positive_int, default=100, help="random samples per check")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed; echoed in reports")
-    common.add_argument("--tol", type=positive_finite_float, default=1e-9, help="tolerance for float comparisons")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        # --level has no per-subcommand default here: subparsers built from
-        # the same parent share one --level action, so the last default set
-        # would win for all of them
-        sub_parser = sub.add_parser(name, parents=[common], help=command.help)
+        sub_parser = sub.add_parser(name, help=command.help)
+        for flag in command.shared:
+            sub_parser.add_argument(flag, **SHARED_OPTIONS[flag])
+        if "--level" in command.shared:
+            sub_parser.set_defaults(level=command.default_level)
+        sub_parser.add_argument("--json", action="store_true", help="machine-readable output")
         for flag, keywords in command.arguments:
             sub_parser.add_argument(flag, **keywords)
     return parser
@@ -338,11 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = COMMANDS[args.command]
-    if args.level is None:
-        args.level = command.default_level
     try:
-        return command.handler(args)
+        return COMMANDS[args.command].handler(args)
     except (
         topology.InconsistencyError,
         topology.GeometryError,

@@ -26,9 +26,9 @@ output relies on it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -91,17 +91,23 @@ def associator(x: CDNumber, y: CDNumber, z: CDNumber) -> CDNumber:
     return (x * y) * z - x * (y * z)
 
 
-def two_term_elements(level: int) -> list[CDNumber]:
-    """All e_i + s*e_j with i < j and s = +/-1; the small-support pattern space."""
+def _two_terms(level: int) -> dict[tuple[int, int, int], CDNumber]:
+    """e_i + s*e_j keyed by (i, j, s), for i < j in lexicographic order and
+    s = +1 before s = -1."""
     dim = 1 << level
-    out = []
+    out = {}
     for i, j in itertools.combinations(range(dim), 2):
         for s in (1, -1):
             coords = [0] * dim
             coords[i] = 1
             coords[j] = s
-            out.append(CDNumber(level, tuple(coords)))
+            out[i, j, s] = CDNumber(level, tuple(coords))
     return out
+
+
+def two_term_elements(level: int) -> list[CDNumber]:
+    """All e_i + s*e_j with i < j and s = +/-1; the small-support pattern space."""
+    return list(_two_terms(level).values())
 
 
 def _two_term_pairs(level: int) -> Iterator[tuple[CDNumber, CDNumber]]:
@@ -255,9 +261,24 @@ def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> Proper
 def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     """Nonzero pairs (u, v) with uv = 0, over all two-term signed basis sums.
 
-    Exhaustive and sound over that pattern: every returned product is
-    exactly zero, and every pattern pair with zero product is returned.
-    Levels <= 3 are division algebras and return the empty list.
+    Exhaustive and sound over that pattern: every pair of two-term elements
+    with zero product is returned, in the order of ``_two_term_pairs``,
+    and no other.  Levels <= 3 are division algebras and return the empty
+    list.
+
+    The scan is table arithmetic, with no coordinate products.  For
+    u = e_i + s*e_j and v = e_k + t*e_l (i < j, k < l), uv is the four
+    signed basis units e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l; write
+    i.k for the index of e_i e_k.  Every row and every column of the index
+    table is a permutation, so
+    i.k differs from i.l and from j.k: the unit at i.k can only cancel
+    against the one at j.l, and the unit at i.l only against the one at
+    j.k.  So uv = 0 exactly when i.k = j.l, i.l = j.k and both sign pairs
+    cancel.  For each (i, j) and each k there is then one candidate l,
+    read off the inverse of row j, and the first cancellation fixes t;
+    the second one does not involve s, so a hit for s = +1 comes with a
+    hit for s = -1 at the opposite t.  Taking k in ascending order keeps
+    the scan's order.
     """
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
@@ -265,7 +286,33 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
         return []
     if level > MAX_CHECK_LEVEL:
         raise ValueError(f"level must be <= {MAX_CHECK_LEVEL}, got {level}")
-    return [(u, v) for u, v in _two_term_pairs(level) if (u * v).is_zero()]
+    dim = 1 << level
+    terms = _two_terms(level)
+    rows = build_table(level).rows()
+    # column_of[j][m] = l with e_j e_l = +/- e_m
+    column_of = [[0] * dim for _ in range(dim)]
+    for j, row in enumerate(rows):
+        for l, (_, m) in enumerate(row):
+            column_of[j][m] = l
+    pairs = []
+    for i, j in itertools.combinations(range(dim), 2):
+        row_i, row_j, column_j = rows[i], rows[j], column_of[j]
+        hits = []  # (k, l, c): v = e_k + s*c*e_l pairs with u = e_i + s*e_j
+        for k in range(dim):
+            sign_ik, m = row_i[k]
+            l = column_j[m]
+            if l <= k:
+                continue
+            sign_il, m_il = row_i[l]
+            sign_jk, m_jk = row_j[k]
+            sign_jl = row_j[l][0]
+            # e_i e_k + st e_j e_l = 0 gives t = -s sign_ik sign_jl; then
+            # t e_i e_l + s e_j e_k = 0 holds iff the four signs multiply to 1
+            if m_il == m_jk and sign_ik * sign_jl * sign_il * sign_jk == 1:
+                hits.append((k, l, -sign_ik * sign_jl))
+        for s in (1, -1):
+            pairs.extend((terms[i, j, s], terms[k, l, s * c]) for k, l, c in hits)
+    return pairs
 
 
 def check_division(level: int) -> PropertyReport:
@@ -285,38 +332,52 @@ def check_division(level: int) -> PropertyReport:
 
 def _word_closure(x: CDNumber, y: CDNumber, max_len: int) -> list[CDNumber]:
     """Distinct products of words in {x, y, x*, y*} up to ``max_len`` letters,
-    under every parenthesization."""
-    by_len: list[list[CDNumber]] = [[], [x, y, x.conj(), y.conj()]]
+    under every parenthesization, in order of first appearance.
+
+    Layer n is formed from the products a*b with a from layer m and b
+    from layer n - m, for m = 1 .. n-1 in turn, and keeps only the words
+    not seen before, in order of first appearance.  A word seen before
+    forms no new products: its first occurrence, earlier in the same
+    layer or in a shorter one, formed each of them earlier.  So the
+    returned list is the one that keeping every repeat would give, from
+    far fewer products.
+    """
+    words = dict.fromkeys((x, y, x.conj(), y.conj()))  # an ordered set
+    by_len: list[list[CDNumber]] = [[], list(words)]
     for n in range(2, max_len + 1):
         layer = []
-        for split in range(1, n):
-            for a in by_len[split]:
-                for b in by_len[n - split]:
-                    layer.append(a * b)
+        for m in range(1, n):
+            for a in by_len[m]:
+                for b in by_len[n - m]:
+                    w = a * b
+                    if w not in words:
+                        words[w] = None
+                        layer.append(w)
         by_len.append(layer)
-    seen: set[CDNumber] = set()
-    out = []
-    for layer in by_len[1:]:
-        for w in layer:
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-    return out
+    return list(words)
 
 
 def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
-    """Subset of the input spanning the same linear space, by exact elimination."""
-    rows: list[tuple[int, list[Fraction]]] = []
+    """Subset of the input spanning the same linear space, by exact elimination.
+
+    The coordinates must be integers, as the sweep draws them.  Elimination
+    is fraction-free: a row is cross-multiplied with a pivot row and then
+    divided by the gcd of its entries, so each reduced vector is a nonzero
+    multiple of the one rational elimination gives, with the same zeros,
+    and the same elements are kept.
+    """
+    rows: list[tuple[int, list[int]]] = []
     basis = []
     for el in elements:
-        v = [Fraction(c) for c in el.coords]
+        v = list(el.coords)
         for pidx, prow in rows:
-            if v[pidx] != 0:
-                f = v[pidx] / prow[pidx]
-                v = [a - f * b for a, b in zip(v, prow)]
-        pivot = next((k for k, a in enumerate(v) if a != 0), None)
-        if pivot is not None:
-            rows.append((pivot, v))
+            a = v[pidx]
+            if a:
+                b = prow[pidx]
+                v = [b * c - a * d for c, d in zip(v, prow)]
+        g = math.gcd(*v)
+        if g:
+            rows.append((next(k for k, c in enumerate(v) if c), [c // g for c in v]))
             basis.append(el)
     return basis
 

@@ -89,3 +89,46 @@ def int_mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def ref_rank(vectors):
+    """Exact rank of a list of vectors, by rational elimination with row swaps."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def ref_span_subset(vectors):
+    """Indices of the vectors a greedy pass keeps: each one that raises the
+    rank of the vectors kept before it."""
+    kept = []
+    for n, vec in enumerate(vectors):
+        if ref_rank([vectors[k] for k in kept] + [vec]) > len(kept):
+            kept.append(n)
+    return kept
+
+
+def ref_word_closure(x, y, max_len):
+    """Distinct products of words in {x, y, x*, y*} up to max_len letters,
+    in order of first appearance; layer n holds a*b for a in layer m and
+    b in layer n - m, m = 1 .. n-1, with every repeat kept."""
+    layers = [[], [x, y, ref_conj(x), ref_conj(y)]]
+    for n in range(2, max_len + 1):
+        layers.append(
+            [ref_mul(a, b) for m in range(1, n) for a in layers[m] for b in layers[n - m]]
+        )
+    out = []
+    for layer in layers:
+        for w in layer:
+            if w not in out:
+                out.append(w)
+    return out

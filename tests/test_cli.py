@@ -183,6 +183,31 @@ def test_vacuous_runs_are_usage_errors(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+#: Each subcommand with its required arguments, and the shared options it does not read.
+UNREAD_OPTIONS = {
+    ("table",): ("--samples", "--seed", "--tol"),
+    ("check", "--property", "flexible"): ("--tol",),
+    ("zero-divisors",): ("--samples", "--seed", "--tol"),
+    ("cohomology", "--space", "RP2"): ("--level", "--samples", "--seed", "--tol"),
+    ("hopf",): ("--tol",),
+    ("audit-all",): ("--level", "--tol"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [list(command) + [flag, "3"] for command, flags in UNREAD_OPTIONS.items() for flag in flags]
+    + [["cohomology", "--space", "RP2", "--level", "99", "--tol", "3"]],
+    ids=" ".join,
+)
+def test_unread_options_are_usage_errors(capsys, argv):
+    # an option the command would silently ignore is rejected, not dropped
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

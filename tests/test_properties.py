@@ -1,12 +1,17 @@
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from octoplane.algebra import CDNumber, basis_element
 from octoplane.properties import (
     PropertyReport,
+    _greedy_span_basis,
+    _word_closure,
     associator,
     check_alternative,
     check_associative,
@@ -21,7 +26,7 @@ from octoplane.properties import (
     two_term_elements,
 )
 
-from oracles import ref_mul
+from oracles import ref_mul, ref_span_subset, ref_word_closure
 
 
 def e(level, index):
@@ -164,15 +169,83 @@ def test_zero_divisors_contains_known_pair():
     assert (u, v) in pairs
 
 
+def _ref_two_terms(dim):
+    """e_i + s*e_j as coordinate tuples, i < j, s = +1 before s = -1."""
+    out = []
+    for i, j in itertools.combinations(range(dim), 2):
+        for s in (1, -1):
+            coords = [0] * dim
+            coords[i] = 1
+            coords[j] = s
+            out.append(tuple(coords))
+    return out
+
+
+def _ref_basis_products(level):
+    """ref_mul(e_a, e_b) for every pair of basis units."""
+    dim = 1 << level
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    return [[ref_mul(a, b) for b in units] for a in units]
+
+
+def _ref_product(products, u, v):
+    """uv from the basis products of ref_mul, which is bilinear."""
+    out = [0] * len(u)
+    for a, x in enumerate(u):
+        if x:
+            for b, y in enumerate(v):
+                if y:
+                    for k, c in enumerate(products[a][b]):
+                        out[k] += x * y * c
+    return out
+
+
+def _scan_digest(pairs):
+    """sha256 over the ordered pairs, each factor as its nonzero (index, value)
+    list; the digest perfbench/pins.json records."""
+    h = hashlib.sha256()
+    for u, v in pairs:
+        doc = [[[i, int(c)] for i, c in enumerate(w) if c] for w in (u, v)]
+        h.update(json.dumps(doc, separators=(",", ":")).encode())
+    return h.hexdigest()
+
+
 def test_zero_divisors_complete_over_pattern():
-    # independent rescan of the declared search space
-    pairs = set()
-    candidates = two_term_elements(4)
-    for u in candidates:
-        for v in candidates:
-            if (u * v).is_zero():
-                pairs.add((u, v))
-    assert pairs == set(find_zero_divisors(4))
+    # independent rescan of the declared search space, order included
+    products = _ref_basis_products(4)
+    candidates = _ref_two_terms(16)
+    expected = [
+        (u, v) for u in candidates for v in candidates if not any(_ref_product(products, u, v))
+    ]
+    found = [(u.coords, v.coords) for u, v in find_zero_divisors(4)]
+    assert found == expected
+    assert len(found) == 336
+    assert _scan_digest(found) == (
+        "8b127ae41c3b14e0a7308a986a1c31a3a4fb3aef8e0685d2ea6ff86dee31214e"
+    )
+
+
+def test_zero_divisors_level5_pinned():
+    # the count and ordered-list digest pinned when the scan multiplied
+    # every pattern pair out
+    found = [(u.coords, v.coords) for u, v in find_zero_divisors(5)]
+    assert len(found) == 5040
+    assert _scan_digest(found) == (
+        "ffb009a4bfa059b13ff7268bf77de07a11ba4e4a19a42a958d062aed9aee7dc1"
+    )
+    products = _ref_basis_products(5)
+    two_terms = set(_ref_two_terms(32))
+    for u, v in found:
+        assert u in two_terms and v in two_terms
+        assert not any(_ref_product(products, u, v))
+
+
+def test_zero_divisors_level6_sample():
+    pairs = find_zero_divisors(6)
+    two_terms = set(_ref_two_terms(64))
+    for u, v in random.Random(6).sample(pairs, 200):
+        assert u.coords in two_terms and v.coords in two_terms
+        assert not any(ref_mul(u.coords, v.coords))
 
 
 # -- two-generated subalgebras -------------------------------------------------
@@ -195,6 +268,65 @@ def test_two_generated_agrees_with_alternative():
         alt = check_alternative(level, 30, seed=7)
         two = check_two_generated_associativity(level, 10, seed=7)
         assert alt.verdict == two.verdict
+
+
+# -- the two-generated helpers against the oracles -----------------------------
+# Hypothesis runs derandomized and without an example database here, so every
+# run draws the same cases.
+
+
+@st.composite
+def integer_vector_lists(draw):
+    """A level and integer vectors of its dimension, many of them dependent."""
+    level = draw(st.integers(0, 4))
+    dim = 1 << level
+    coord = st.integers(-3, 3)
+    vectors = []
+    for _ in range(draw(st.integers(0, 24))):
+        if vectors and draw(st.booleans()):
+            # an integer combination of earlier vectors
+            picks = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+            factors = draw(st.lists(coord, min_size=len(picks), max_size=len(picks)))
+            vectors.append(tuple(sum(f * p[k] for f, p in zip(factors, picks)) for k in range(dim)))
+        else:
+            vectors.append(tuple(draw(st.lists(coord, min_size=dim, max_size=dim))))
+    return level, vectors
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(integer_vector_lists())
+def test_greedy_span_basis_matches_rational_elimination(case):
+    level, vectors = case
+    elements = [CDNumber(level, v) for v in vectors]
+    basis = _greedy_span_basis(elements)
+    kept = [n for n, el in enumerate(elements) if any(el is b for b in basis)]
+    assert len(kept) == len(basis)
+    assert kept == ref_span_subset(vectors)
+
+
+def _seeded_element(level, rng, sparse):
+    """Integer coordinates; a sparse element is mostly zeros, so words repeat often."""
+    if sparse:
+        return tuple(rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(1 << level))
+    return random_exact(level, rng).coords
+
+
+# a smaller seed is not a simpler case, so a failure is reported unshrunk
+@pytest.mark.parametrize("level", (2, 3, 4))
+@settings(
+    max_examples=6,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(), max_len=st.sampled_from((4, 3, 2)))
+def test_word_closure_matches_undeduplicated_layers(level, seed, sparse, max_len):
+    rng = random.Random(seed)
+    x = _seeded_element(level, rng, sparse)
+    y = _seeded_element(level, rng, sparse)
+    words = _word_closure(CDNumber(level, x), CDNumber(level, y), max_len)
+    assert [w.coords for w in words] == ref_word_closure(x, y, max_len)
 
 
 # -- reports -------------------------------------------------------------------
