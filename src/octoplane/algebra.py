@@ -15,10 +15,13 @@ is a pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction, float]
 
@@ -111,6 +114,80 @@ def _mul_coords(level: int, xc: tuple, yc: tuple) -> tuple:
                 else:
                     out[k] -= v * w
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _gather_layout(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, signs) with e_i * e_j = signs[k, i] * e_k for j = columns[k, i].
+
+    Every row of the index table is a permutation, so for each i and k
+    exactly one j puts e_i * e_j on the axis of e_k.  The arrays are
+    shared between calls and read-only.
+    """
+    signs, idxs = _flat_table(level)
+    dim = 1 << level
+    columns = np.empty((dim, dim), dtype=np.intp)
+    gathered_signs = np.empty((dim, dim), dtype=np.int64)
+    for p, (s, k) in enumerate(zip(signs, idxs)):
+        i, j = divmod(p, dim)
+        columns[k, i] = j
+        gathered_signs[k, i] = s
+    columns.flags.writeable = False
+    gathered_signs.flags.writeable = False
+    return columns, gathered_signs
+
+
+_as_python_int = np.frompyfunc(operator.index, 1, 1)
+
+
+def _integer_rows(rows, dim: int) -> np.ndarray:
+    """``rows`` as an (N, dim) integer array, refusing anything not an integer."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"expected an (N, {dim}) array, got shape {rows.shape}")
+    if rows.dtype.kind in "iu":
+        return rows
+    if rows.dtype.kind == "O":
+        return _as_python_int(rows)  # TypeError on Fraction or float entries
+    raise TypeError(f"batched products take integer coordinates, got {rows.dtype}")
+
+
+def _max_abs(rows: np.ndarray) -> int:
+    return max(int(rows.max()), -int(rows.min())) if rows.size else 0
+
+
+def mul_batch(level: int, xs, ys) -> np.ndarray:
+    """Row-by-row products of two batches of integer elements at ``level``.
+
+    ``xs`` and ``ys`` are (N, 2^level) arrays of integer coordinates; row n
+    of the result holds the coordinates of xs[n] * ys[n], exactly as
+    ``CDNumber.__mul__`` gives them.  Float and Fraction coordinates raise
+    TypeError instead of being truncated; they take the scalar product.
+
+    Output coordinate k is the sum over i of signs[k, i] * x_i * y_j with
+    j = columns[k, i] (``_gather_layout``), one ``einsum`` over the rows of
+    ``ys`` gathered along those columns.  Axes that no row of ``xs`` uses
+    are left out of the gather, so sparse left factors cost little.
+
+    Exactness: each output coordinate is a sum of at most 2^level terms
+    +/- x_i y_j, so it and every partial sum are bounded by
+    max|x| * max|y| * 2^level.  Below 2^62 that fits in int64 with room to
+    spare and the products run in int64; above it they run on Python ints
+    in object arrays, which cannot overflow.
+    """
+    dim = 1 << level
+    xs = _integer_rows(xs, dim)
+    ys = _integer_rows(ys, dim)
+    if len(xs) != len(ys):
+        raise ValueError(f"batches differ in length: {len(xs)} vs {len(ys)}")
+    columns, signs = _gather_layout(level)
+    if (_max_abs(xs) * _max_abs(ys)) << level < 1 << 62:
+        xs, ys = xs.astype(np.int64, copy=False), ys.astype(np.int64, copy=False)
+    else:
+        xs, ys, signs = xs.astype(object), ys.astype(object), signs.astype(object)
+    used = xs.any(axis=0).nonzero()[0]
+    gathered = ys[:, columns[:, used]]
+    return np.einsum("ni,nki,ki->nk", xs.take(used, axis=1), gathered, signs.take(used, axis=1))
 
 
 class CDNumber:

@@ -197,33 +197,43 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """Options the parser accepts one by one but the command cannot use together."""
+
+
 def _cmd_hopf(args: argparse.Namespace) -> int:
+    # each mode reads one option the other does not; both default to None,
+    # so that one given to the wrong mode shows
+    foreign = {"bidegree": ("segments", "linking"), "linking": ("level", "bidegree")}
+    option, owner = foreign[args.mode]
+    if getattr(args, option) is not None:
+        raise UsageError(f"hopf --mode {args.mode} does not read --{option}, a {owner}-mode option")
     if args.mode == "bidegree":
-        left, right = topology.multiplication_bidegree(
-            args.level, args.samples, seed=args.seed
-        )
+        level = 3 if args.level is None else args.level
+        left, right = topology.multiplication_bidegree(level, args.samples, seed=args.seed)
         payload = {
             "hopf_invariant": left * right,
-            "method": f"multiplication-bidegree proxy (level {args.level})",
+            "method": f"multiplication-bidegree proxy (level {level})",
             "bidegree": [left, right],
             "seed": args.seed,
         }
         lines = [
-            f"bidegree proxy at level {args.level}: ({left:+d}, {right:+d}) "
+            f"bidegree proxy at level {level}: ({left:+d}, {right:+d}) "
             f"-> hopf invariant {left * right:+d}"
         ]
     else:
+        segments = 256 if args.segments is None else args.segments
         value = topology.linking_hopf_invariant(
-            samples=args.samples, segments=args.segments, seed=args.seed
+            samples=args.samples, segments=segments, seed=args.seed
         )
         payload = {
             "hopf_invariant": value,
             "method": "gauss-linking proxy (complex fibration)",
-            "segments": args.segments,
+            "segments": segments,
             "seed": args.seed,
         }
         lines = [
-            f"linking proxy (complex case, {args.segments} segments, seed {args.seed}): "
+            f"linking proxy (complex case, {segments} segments, seed {args.seed}): "
             f"{value:+d}"
         ]
     _emit(args, payload, lines)
@@ -299,10 +309,10 @@ COMMANDS: dict[str, Command] = {
         _cmd_hopf,
         "hopf-invariant proxies",
         ("--level", "--samples", "--seed"),
-        3,
+        None,  # bidegree mode's default, 3, is filled in by the handler
         (
             ("--mode", dict(choices=("bidegree", "linking"), default="bidegree")),
-            ("--segments", dict(type=int, default=256, help="polygon segments for linking mode")),
+            ("--segments", dict(type=int, help="polygon segments for linking mode")),
         ),
     ),
     "audit-all": Command(
@@ -353,9 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command].handler(args)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits 2 with the usage line
     except (
         topology.InconsistencyError,
         topology.GeometryError,

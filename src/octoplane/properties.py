@@ -12,7 +12,11 @@ over three phases of candidate tuples, in this order:
 2. two-term: at level >= 4, ordered pairs of two-term signed basis sums
    e_i +/- e_j, where the failures that basis tuples cannot see live.
    A checker sweeps all of them or a fixed prefix, so such a failure
-   reproduces without any seed.
+   reproduces without any seed.  The identity predicates run here on
+   batches of pairs, whose products come from ``algebra.mul_batch``, in
+   chunks that grow from 64 to 512 pairs; the first violating pair in
+   the chunk is the witness, and it counts as one candidate more than
+   the pairs before it, exactly as a walk one pair at a time counts.
 3. random: ``samples`` seeded random tuples with exact integer entries.
 
 The first violating candidate ends the sweep.  Verdicts are exact:
@@ -32,7 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
-from .algebra import CDNumber, build_table, cd_to_json
+import numpy as np
+
+from .algebra import CDNumber, build_table, cd_to_json, mul_batch
 
 MAX_CHECK_LEVEL = 6
 
@@ -127,7 +133,7 @@ def _nonassociating(x, y, z) -> bool:
 
 
 def _nonalternative(x, y) -> bool:
-    return x * (y * y) != (x * y) * y or (x * x) * y != x * (x * y)
+    return (x * (y * y) != (x * y) * y) | ((x * x) * y != x * (x * y))
 
 
 def _nonflexible(x, y) -> bool:
@@ -178,6 +184,78 @@ def _units(level: int) -> tuple[_Unit, ...]:
     return tuple(units)
 
 
+class _Batch:
+    """N elements of one level, held as the rows of an integer array.
+
+    Implements just what the identity predicates use, row by row: products
+    through ``mul_batch``, ``!=`` as a boolean array that is true where two
+    rows differ, and ``norm_sq``.  One call of a predicate on batches then
+    judges a whole chunk of candidates, exactly.
+    """
+
+    __slots__ = ("level", "rows")
+
+    def __init__(self, level: int, rows: np.ndarray):
+        self.level = level
+        self.rows = rows
+
+    def __mul__(self, other: "_Batch") -> "_Batch":
+        return _Batch(self.level, mul_batch(self.level, self.rows, other.rows))
+
+    def __ne__(self, other: "_Batch") -> np.ndarray:
+        return (self.rows != other.rows).any(axis=1)
+
+    def norm_sq(self) -> np.ndarray:
+        rows = self.rows
+        # below 2^31 a product of two norms still fits in int64
+        if rows.size and int(abs(rows).max()) ** 2 << self.level >= 1 << 31:
+            rows = rows.astype(object)
+        return (rows * rows).sum(axis=1)
+
+
+#: The two-term phase judges pairs in chunks that start small, so an early
+#: witness costs little, and double up to a cap that keeps the gathered
+#: operand of one batched product near 1 MB at level 4.
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 512
+
+
+def _two_term_rows(level: int) -> np.ndarray:
+    """The coordinates of ``two_term_elements(level)``, one row each, in order."""
+    dim = 1 << level
+    i, j = np.triu_indices(dim, 1)  # i < j, lexicographic, like itertools.combinations
+    rows = np.zeros((2 * len(i), dim), dtype=np.int64)
+    n = np.arange(len(rows))
+    rows[n, i.repeat(2)] = 1
+    rows[n, j.repeat(2)] = np.tile((1, -1), len(i))
+    return rows
+
+
+def _batched_two_term_sweep(
+    level: int, violates: Callable[..., object], limit: Optional[int]
+) -> tuple[int, Optional[tuple[CDNumber, CDNumber]]]:
+    """Judge the ordered two-term pairs, first element major, in batches.
+
+    Returns how many pairs were judged, through the first violating one,
+    and that pair, or None after the first ``limit`` pairs (all of them
+    for None) pass.
+    """
+    rows = _two_term_rows(level)
+    count = len(rows)
+    total = count * count if limit is None else min(limit, count * count)
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        index = np.arange(start, min(start + size, total))
+        hits = violates(_Batch(level, rows[index // count]), _Batch(level, rows[index % count]))
+        if hits.any():
+            first = start + int(hits.argmax())
+            pair = (rows[first // count], rows[first % count])
+            return first + 1, tuple(CDNumber(level, r.tolist()) for r in pair)
+        start += size
+        size = min(2 * size, _MAX_CHUNK)
+    return total, None
+
+
 def _sweep(
     name: str,
     level: int,
@@ -185,7 +263,7 @@ def _sweep(
     seed: int,
     arity: int,
     violates: Callable[..., object],
-    basis: bool = True,
+    identity: bool = True,
     two_term: Optional[int] = 0,
     cap: int = MAX_CHECK_LEVEL,
 ) -> PropertyReport:
@@ -194,14 +272,17 @@ def _sweep(
     ``violates(*candidate)`` is false when the candidate keeps the property;
     otherwise it is True, making the candidate the counterexample, or the
     counterexample itself.  ``two_term`` caps the level >= 4 pair phase:
-    0 skips it, None sweeps every pair.
+    0 skips it, None sweeps every pair.  An ``identity`` predicate uses
+    only products, norms and ``!=``: the basis phase runs it on signed
+    units and the two-term phase on batches.  Any other predicate gets no
+    basis phase and judges the two-term pairs one at a time.
     """
     if not 0 <= level <= cap:
         raise ValueError(f"level must be in [0, {cap}], got {level}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     tested = 0
-    if basis:
+    if identity:
         units = _units(level)[: 1 << level]
         tested = len(units) ** arity
         for xs in itertools.product(units, repeat=arity):
@@ -213,9 +294,15 @@ def _sweep(
     draws = (random_exact(level, rng) for _ in range(arity * samples))
     candidates: Iterable[tuple] = zip(*[draws] * arity)  # arity draws per candidate
     if level >= 4 and two_term != 0:
-        candidates = itertools.chain(
-            itertools.islice(_two_term_pairs(level), two_term), candidates
-        )
+        if identity:
+            judged, pair = _batched_two_term_sweep(level, violates, two_term)
+            tested += judged
+            if pair is not None:
+                return PropertyReport(name, level, "fails", pair, tested)
+        else:
+            candidates = itertools.chain(
+                itertools.islice(_two_term_pairs(level), two_term), candidates
+            )
     for xs in candidates:
         tested += 1
         hit = violates(*xs)
@@ -341,20 +428,28 @@ def _word_closure(x: CDNumber, y: CDNumber, max_len: int) -> list[CDNumber]:
     layer or in a shorter one, formed each of them earlier.  So the
     returned list is the one that keeping every repeat would give, from
     far fewer products.
+
+    The coordinates must be integers.  Each layer's products are formed as
+    one batch (``mul_batch``), in the order above, and its repeats are
+    dropped in that order, by coordinate tuple.
     """
-    words = dict.fromkeys((x, y, x.conj(), y.conj()))  # an ordered set
-    by_len: list[list[CDNumber]] = [[], list(words)]
+    level = x.level
+    words = dict.fromkeys(w.coords for w in (x, y, x.conj(), y.conj()))  # an ordered set
+    by_len = [None, np.array(list(words))]  # by_len[n]: the new words of n letters
     for n in range(2, max_len + 1):
-        layer = []
-        for m in range(1, n):
-            for a in by_len[m]:
-                for b in by_len[n - m]:
-                    w = a * b
-                    if w not in words:
-                        words[w] = None
-                        layer.append(w)
-        by_len.append(layer)
-    return list(words)
+        splits = [(by_len[m], by_len[n - m]) for m in range(1, n)]
+        products = mul_batch(
+            level,
+            np.concatenate([a.repeat(len(b), axis=0) for a, b in splits]),
+            np.concatenate([b[np.arange(len(a) * len(b)) % len(b)] for a, b in splits]),
+        )
+        fresh = []
+        for p, w in enumerate(map(tuple, products.tolist())):
+            if w not in words:
+                words[w] = None
+                fresh.append(p)
+        by_len.append(products[fresh])
+    return [CDNumber(level, w) for w in words]
 
 
 def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
@@ -413,4 +508,4 @@ def check_two_generated_associativity(
         return _subalgebra_associator_violation(x, y, word_length)
 
     name = "two_generated_associative"
-    return _sweep(name, level, samples, seed, 2, violates, basis=False, two_term=512, cap=4)
+    return _sweep(name, level, samples, seed, 2, violates, identity=False, two_term=512, cap=4)

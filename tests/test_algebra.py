@@ -2,7 +2,10 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from octoplane.algebra import (
     CDNumber,
@@ -15,6 +18,7 @@ from octoplane.algebra import (
     cd_to_json,
     embed,
     inner_product,
+    mul_batch,
     scalar_to_json,
 )
 
@@ -112,6 +116,100 @@ def test_level_mismatch_raises():
         e(2, 1) * e(3, 1)
     with pytest.raises(LevelMismatchError):
         e(2, 1) + e(3, 1)
+
+
+# -- batched products ---------------------------------------------------------
+
+
+def _batch_rows(level, rng, count, scale, sparse):
+    """``count`` integer rows; a sparse batch uses only a few columns in every row."""
+    dim = 1 << level
+    columns = rng.sample(range(dim), rng.randint(0, min(dim, 3))) if sparse else range(dim)
+    rows = []
+    for _ in range(count):
+        row = [0] * dim
+        for k in columns:
+            row[k] = rng.randint(-9, 9) * scale
+        rows.append(row)
+    return rows
+
+
+def _as_array(rows, dim):
+    """An (N, dim) int64 array when every entry fits, else an object array."""
+    fits = all(-(2**63) <= v < 2**63 for row in rows for v in row)
+    return np.array(rows, dtype=np.int64 if fits else object).reshape(len(rows), dim)
+
+
+def _assert_batch_matches_oracle(level, xs, ys):
+    dim = 1 << level
+    out = mul_batch(level, _as_array(xs, dim), _as_array(ys, dim))
+    assert out.shape == (len(xs), 1 << level)
+    assert out.tolist() == [list(ref_mul(tuple(x), tuple(y))) for x, y in zip(xs, ys)]
+
+
+# a smaller seed is not a simpler case, so a failure is reported unshrunk
+@pytest.mark.parametrize("level", range(7))
+@settings(
+    max_examples=12,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 5),
+    scale=st.sampled_from((1, 2**20, 2**40)),
+    sparse=st.booleans(),
+)
+def test_mul_batch_matches_doubling_recursion(level, seed, count, scale, sparse):
+    rng = random.Random(seed)
+    xs = _batch_rows(level, rng, count, scale, sparse)
+    ys = _batch_rows(level, rng, count, scale, rng.random() < 0.5)
+    _assert_batch_matches_oracle(level, xs, ys)
+
+
+def test_mul_batch_empty_and_object_path():
+    for level in range(7):
+        dim = 1 << level
+        out = mul_batch(level, np.zeros((0, dim), dtype=np.int64), np.zeros((0, dim), dtype=np.int64))
+        assert out.shape == (0, dim)
+    # near 2^40 the sums leave int64, so only the object path is exact
+    rng = random.Random(5)
+    xs = [[rng.randint(2**40 - 9, 2**40 + 9) for _ in range(16)] for _ in range(4)]
+    ys = [[-v for v in row] for row in xs]
+    assert mul_batch(4, _as_array(xs, 16), _as_array(ys, 16)).dtype == object
+    _assert_batch_matches_oracle(4, xs, ys)
+    # Python ints past int64 arrive as an object array
+    huge = [[2**70 + k for k in range(8)]]
+    _assert_batch_matches_oracle(3, huge, huge)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.full((2, 4), 0.5),
+        np.ones((2, 4)),
+        [[1.0, 2.0, 3.0, 4.0]] * 2,
+        np.array([[Fraction(1, 2)] * 4] * 2, dtype=object),
+        np.array([[Fraction(2)] * 4] * 2, dtype=object),
+        np.array([[1, 2, 3, 4.5]] * 2, dtype=object),
+    ],
+    ids=["float-halves", "float-ones", "float-list", "fraction", "integral-fraction", "object-float"],
+)
+def test_mul_batch_rejects_non_integers(bad):
+    ints = np.ones((2, 4), dtype=np.int64)
+    with pytest.raises(TypeError):
+        mul_batch(2, bad, ints)
+    with pytest.raises(TypeError):
+        mul_batch(2, ints, bad)
+
+
+def test_mul_batch_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        mul_batch(2, np.ones((2, 4), dtype=np.int64), np.ones((3, 4), dtype=np.int64))
+    with pytest.raises(ValueError):
+        mul_batch(2, np.ones((2, 8), dtype=np.int64), np.ones((2, 8), dtype=np.int64))
 
 
 # -- conjugation and norm ---------------------------------------------------

@@ -211,6 +211,39 @@ def test_unread_options_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["hopf", "--mode", "linking", "--level", "9", "--segments", "64", "--samples", "1"],
+        ["hopf", "--mode", "linking", "--level", "3"],
+        ["hopf", "--mode", "bidegree", "--segments", "7"],
+        ["hopf", "--segments", "256"],
+    ],
+    ids=" ".join,
+)
+def test_other_hopf_mode_options_are_usage_errors(capsys, argv):
+    # --level is read only by bidegree mode and --segments only by linking mode
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    foreign = "--level" if "linking" in argv else "--segments"
+    assert captured.err.startswith("usage:") and f"does not read {foreign}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["hopf"], "method", "multiplication-bidegree proxy (level 3)"),
+        (["hopf", "--mode", "linking", "--samples", "1"], "segments", 256),
+    ],
+)
+def test_hopf_modes_fill_in_their_defaults(capsys, argv, key, value):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc[key] == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["check", "--property", "commutative", "--level", "9"],
         ["cohomology", "--space", "RP2", "--coeffs", "Zmod:1"],
         ["hopf", "--mode", "bidegree", "--level", "5"],

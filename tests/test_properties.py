@@ -3,13 +3,15 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from octoplane.algebra import CDNumber, basis_element
+from octoplane.algebra import CDNumber, basis_element, cd_to_json
 from octoplane.properties import (
     PropertyReport,
+    _Batch,
     _greedy_span_basis,
     _word_closure,
     associator,
@@ -329,6 +331,15 @@ def test_word_closure_matches_undeduplicated_layers(level, seed, sparse, max_len
     assert [w.coords for w in words] == ref_word_closure(x, y, max_len)
 
 
+def test_batch_norms_stay_exact_past_int64():
+    # the norm predicate multiplies two norms, so large rows leave int64
+    rows = np.array([[2**40, 3, 0, -(2**35)], [1, 1, 1, 1]], dtype=np.int64)
+    norms = _Batch(2, rows).norm_sq()
+    expected = [sum(c * c for c in row) for row in rows.tolist()]
+    assert norms.tolist() == expected
+    assert (norms * norms).tolist() == [n * n for n in expected]
+
+
 # -- reports -------------------------------------------------------------------
 
 
@@ -402,3 +413,35 @@ def test_basis_phase_finds_first_failing_basis_tuple(checker, level):
     else:
         assert report.samples == dim**arity  # the basis phase counts whole
         assert report.counterexample == tuple(e(level, i) for i in first)
+
+
+# -- the two-term phase at levels 5 and 6 ---------------------------------------
+
+#: Reports whose witness the two-term phase finds, as the one-product-at-a-time
+#: sweep gave them: (checker, level, samples, nonzero coordinates of the witness).
+#: The phase needs no seed, so they hold for every seed and sample count.
+TWO_TERM_REPORTS = [
+    (check_alternative, 5, 1165, ({0: 1, 1: 1}, {2: 1, 12: 1})),
+    (check_alternative, 6, 4365, ({0: 1, 1: 1}, {2: 1, 12: 1})),
+    (check_norm_multiplicative, 5, 78657, ({1: 1, 10: 1}, {4: 1, 15: 1})),
+    (check_norm_multiplicative, 6, 577153, ({1: 1, 10: 1}, {4: 1, 15: 1})),
+]
+
+
+@pytest.mark.parametrize(
+    "checker, level, samples, witness",
+    TWO_TERM_REPORTS,
+    ids=[f"{c.__name__}-{level}" for c, level, _, _ in TWO_TERM_REPORTS],
+)
+def test_two_term_phase_reports_are_pinned(checker, level, samples, witness):
+    report = checker(level, 20, seed=0)
+    coords = [tuple(w.get(i, 0) for i in range(1 << level)) for w in witness]
+    assert report.to_json() == {
+        "property": checker.__name__.removeprefix("check_"),
+        "level": level,
+        "verdict": "fails",
+        "samples": samples,
+        "counterexample": [cd_to_json(CDNumber(level, c)) for c in coords],
+    }
+    _, violates = REF_VIOLATIONS[checker]
+    assert violates(*coords)
