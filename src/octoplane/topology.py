@@ -1,12 +1,14 @@
 """Cellular (co)homology and desk-scale Hopf-invariant evidence.
 
-The homology engine is exact: integer Smith normal form with unimodular
-transforms, applied to the boundary matrices of a CW description.  The
-Hopf invariant of the cell-attaching sphere maps is not computed from
-cup products here; instead two proxies are provided and labelled as
-such: the bidegree of the multiplication (signs of determinants of the
-left/right multiplication operators), and, for the complex case, the
-Gauss linking number of two fiber circles of the classifying map.
+The homology engine is exact: (co)homology is read from the invariant
+factors of the boundary matrices of a CW description, found by integer
+elimination; only ``smith_normal_form`` also builds the unimodular
+transforms.  The Hopf invariant of the cell-attaching sphere maps is not
+computed from cup products here; instead two proxies are provided and
+labelled as such: the bidegree of the multiplication (signs of
+determinants of the left/right multiplication operators), and, for the
+complex case, the Gauss linking number of two fiber circles of the
+classifying map.
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ def _zeros(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
 
 
-def _transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact integer matrix product."""
     if not a or not b:
@@ -91,37 +87,22 @@ class SNFResult(NamedTuple):
     v: Matrix
 
 
-def smith_normal_form(matrix) -> SNFResult:
-    """Diagonalize an integer matrix: S = U A V with U, V unimodular.
+def _diagonalize(a: Matrix, m: int, n: int) -> None:
+    """Bring the top-left m x n block of ``a`` to Smith form in place.
 
-    The diagonal of S is non-negative and each entry divides the next.
+    Row operations act on whole rows of ``a`` and column operations on
+    whole columns, so entries beside and below the block record them.
+    The diagonal ends non-negative with each entry dividing the next.
     Pivots are chosen with minimal nonzero absolute value, which keeps
     intermediate entries small on desk-scale inputs.
     """
-    a = _to_int_matrix(matrix)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = _eye(m)
-    v = _eye(n)
 
-    def row_sub(mat, i, j, q):  # row i -= q * row j
-        ri, rj = mat[i], mat[j]
-        for k in range(len(ri)):
-            ri[k] -= q * rj[k]
+    def row_sub(i, j, q):  # row i -= q * row j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
 
-    def col_sub(mat, i, j, q):  # col i -= q * col j
-        for row in mat:
+    def col_sub(i, j, q):  # col i -= q * col j
+        for row in a:
             row[i] -= q * row[j]
-
-    def row_swap(mat, i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-
-    def col_swap(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(mat, i):
-        mat[i] = [-x for x in mat[i]]
 
     def balanced_quotient(x: int, p: int) -> int:
         # remainder after subtracting q*p lies in (-p/2, p/2]
@@ -138,8 +119,9 @@ def smith_normal_form(matrix) -> SNFResult:
             pivot = None
             best = None
             for i in range(t, m):
+                row = a[i]
                 for j in range(t, n):
-                    x = a[i][j]
+                    x = row[j]
                     if x != 0 and (best is None or abs(x) < best):
                         best = abs(x)
                         pivot = (i, j)
@@ -147,14 +129,12 @@ def smith_normal_form(matrix) -> SNFResult:
                 break
             pi, pj = pivot
             if pi != t:
-                row_swap(a, pi, t)
-                row_swap(u, pi, t)
+                a[pi], a[t] = a[t], a[pi]
             if pj != t:
-                col_swap(a, pj, t)
-                col_swap(v, pj, t)
+                for row in a:
+                    row[pj], row[t] = row[t], row[pj]
             if a[t][t] < 0:
-                row_neg(a, t)
-                row_neg(u, t)
+                a[t] = [-x for x in a[t]]
 
             p = a[t][t]
             dirty = False
@@ -162,86 +142,79 @@ def smith_normal_form(matrix) -> SNFResult:
                 if a[i][t] != 0:
                     q = balanced_quotient(a[i][t], p)
                     if q:
-                        row_sub(a, i, t, q)
-                        row_sub(u, i, t, q)
+                        row_sub(i, t, q)
                     if a[i][t] != 0:
                         dirty = True  # remainder < p; next pass repivots
             for j in range(t + 1, n):
                 if a[t][j] != 0:
                     q = balanced_quotient(a[t][j], p)
                     if q:
-                        col_sub(a, j, t, q)
-                        col_sub(v, j, t, q)
+                        col_sub(j, t, q)
                     if a[t][j] != 0:
                         dirty = True
             if dirty:
                 continue
             # pivot must divide the rest of the block; if not, folding the
             # offending row into row t produces a smaller remainder above
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, m) if any(a[i][j] % p for j in range(t + 1, n))),
+                None,
+            )
             if offender is None:
                 break
-            row_sub(a, t, offender, -1)  # row t += offending row
-            row_sub(u, t, offender, -1)
+            row_sub(t, offender, -1)  # row t += offending row
         if a[t][t] == 0:
             break
         t += 1
-    return SNFResult(a, u, v)
+
+
+def _shape(a: Matrix) -> tuple[int, int]:
+    return len(a), len(a[0]) if a else 0
+
+
+def smith_normal_form(matrix) -> SNFResult:
+    """Diagonalize an integer matrix: S = U A V with U, V unimodular.
+
+    The diagonal of S is non-negative and each entry divides the next.
+    The elimination runs on [[A, I], [I, 0]] and leaves [[S, U], [V, 0]].
+    """
+    a = _to_int_matrix(matrix)
+    m, n = _shape(a)
+    work = [row + e for row, e in zip(a, _eye(m))] + [e + [0] * m for e in _eye(n)]
+    _diagonalize(work, m, n)
+    return SNFResult(
+        [row[:n] for row in work[:m]], [row[n:] for row in work[:m]], [row[:n] for row in work[m:]]
+    )
 
 
 def invariant_factors(matrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form."""
-    s = smith_normal_form(matrix).s
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i])
-
-
-def _rank(matrix) -> int:
-    return len(invariant_factors(matrix))
+    """Nonzero diagonal of the Smith form, found without building U or V."""
+    a = _to_int_matrix(matrix)
+    m, n = _shape(a)
+    _diagonalize(a, m, n)
+    return tuple(a[i][i] for i in range(min(m, n)) if a[i][i])
 
 
 # -- finitely generated abelian groups -------------------------------------
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _chain_from_orders(orders: Iterable[int]) -> tuple[int, ...]:
-    by_prime: dict[int, list[int]] = {}
+    """Invariant factors of the sum of Z/d over ``orders``, without factoring.
+
+    Each order is inserted into a divisibility chain by replacing (c, d)
+    with (gcd, lcm), which keeps the group; prime by prime this is an
+    insertion sort of exponents, so the chain stays one.
+    """
+    chain: list[int] = []
     for d in orders:
-        d = int(d)
-        if d < 0:
-            d = -d
+        d = abs(int(d))
         if d <= 1:
             continue
-        for p, e in _factorize(d).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    length = max(len(v) for v in by_prime.values())
-    chain = [1] * length
-    for p, exps in by_prime.items():
-        exps.sort()
-        offset = length - len(exps)
-        for i, e in enumerate(exps):
-            chain[offset + i] *= p ** e
-    return tuple(chain)
+        for i, c in enumerate(chain):
+            g = gcd(c, d)
+            chain[i], d = g, c // g * d
+        chain.append(d)
+    return tuple(c for c in chain if c > 1)
 
 
 @dataclass(frozen=True)
@@ -415,26 +388,24 @@ def builtin_cw(name: str) -> CWDescription:
 # -- (co)homology ------------------------------------------------------------
 
 
-def homology(cw: CWDescription, k: int) -> AbelianGroup:
-    """H_k with integer coefficients: ker boundary_k / im boundary_(k+1)."""
+def _degree_factors(cw: CWDescription, k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Free rank n_k - |f_k| - |f_(k+1)| in degree k, with the invariant
+    factors f_k of boundary_k and f_(k+1) of boundary_(k+1)."""
     n_k = cw.cell_count(k)
-    if k < 0 or n_k == 0:
-        return TRIVIAL_GROUP
-    rank_in = _rank(cw.boundary(k)) if k >= 1 else 0
+    if n_k == 0:
+        return 0, (), ()
+    lower = invariant_factors(cw.boundary(k))
     upper = invariant_factors(cw.boundary(k + 1))
-    free = n_k - rank_in - len(upper)
-    return AbelianGroup.from_parts(free, (d for d in upper if d > 1))
+    return n_k - len(lower) - len(upper), lower, upper
 
 
-def _integral_cohomology(cw: CWDescription, k: int) -> AbelianGroup:
-    """H^k with integer coefficients, from the dualized (transposed) complex."""
-    n_k = cw.cell_count(k)
-    if k < 0 or n_k == 0:
-        return TRIVIAL_GROUP
-    delta_out = _transpose(cw.boundary(k + 1))  # C^k -> C^(k+1)
-    delta_in = invariant_factors(_transpose(cw.boundary(k)))  # image in C^k
-    free = n_k - _rank(delta_out) - len(delta_in)
-    return AbelianGroup.from_parts(free, (d for d in delta_in if d > 1))
+def homology(cw: CWDescription, k: int) -> AbelianGroup:
+    """H_k with integer coefficients: ker boundary_k / im boundary_(k+1).
+
+    The torsion is the chain of invariant factors of boundary_(k+1) above 1.
+    """
+    rank, _, upper = _degree_factors(cw, k)
+    return AbelianGroup(rank, tuple(f for f in upper if f > 1))
 
 
 def cohomology(
@@ -442,22 +413,20 @@ def cohomology(
 ) -> AbelianGroup:
     """H^k of the cellular cochain complex with the given coefficients.
 
-    Integral cohomology comes straight from Smith normal form of the
-    transposed boundaries.  Rational coefficients keep only the free
-    rank.  Mod-m coefficients use the universal-coefficient bookkeeping
+    The coboundary delta_k = boundary_(k+1)^T has the invariant factors of
+    boundary_(k+1), so integral cohomology has the rank of H_k and the
+    torsion of H_(k-1), the factors of boundary_k above 1.  Rational
+    coefficients keep only the free rank.  Mod-m coefficients use the
+    universal-coefficient bookkeeping
     H^k(C; Z/m) = H^k(C; Z) (x) Z/m  (+)  Tor(H^(k+1)(C; Z), Z/m).
     """
+    rank, lower, upper = _degree_factors(cw, k)
     if coefficients.kind == "Z":
-        return _integral_cohomology(cw, k)
+        return AbelianGroup(rank, tuple(f for f in lower if f > 1))
     if coefficients.kind == "Q":
-        return AbelianGroup(_integral_cohomology(cw, k).rank)
+        return AbelianGroup(rank)
     m = coefficients.modulus
-    here = _integral_cohomology(cw, k)
-    above = _integral_cohomology(cw, k + 1)
-    orders = [m] * here.rank
-    orders.extend(gcd(t, m) for t in here.torsion)
-    orders.extend(gcd(t, m) for t in above.torsion)
-    return AbelianGroup.from_parts(0, (d for d in orders if d > 1))
+    return AbelianGroup.from_parts(0, [m] * rank + [gcd(f, m) for f in lower + upper])
 
 
 def cohomology_profile(

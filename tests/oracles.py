@@ -2,8 +2,8 @@
 
 These deliberately do not share code paths with the package: the product
 is the textbook doubling recursion on coordinate halves, determinants are
-fraction-free eliminations, and invariant factors come from gcds of
-minors.
+fraction-free eliminations, invariant factors come from gcds of minors,
+and ranks mod p from elimination over the field Z/p.
 """
 
 from fractions import Fraction
@@ -103,6 +103,23 @@ def ref_rank(vectors):
         for r in range(rank + 1, len(rows)):
             f = rows[r][col] / rows[rank][col]
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_p(matrix, p):
+    """Rank over the field Z/p (p prime), by elimination mod p with row swaps."""
+    rows = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inverse % p
+            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 

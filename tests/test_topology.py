@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoplane.algebra import CDNumber
 from octoplane.projective import random_unit, sphere_to_line
@@ -27,7 +29,7 @@ from octoplane.topology import (
     smith_normal_form,
 )
 
-from oracles import exact_det, int_mat_mul, invariant_factors_by_minors
+from oracles import exact_det, int_mat_mul, invariant_factors_by_minors, rank_p
 
 Z2 = CoefficientSpec.parse("Zmod:2")
 Z3 = CoefficientSpec.parse("Zmod:3")
@@ -83,6 +85,22 @@ def test_snf_against_minor_gcd_oracle():
         matrix = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         diag = [d for d in snf_is_valid(matrix) if d]
         assert diag == invariant_factors_by_minors(matrix)
+
+
+@st.composite
+def small_int_matrices(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    entry = st.integers(-20, 20)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_int_matrices())
+def test_invariant_factors_match_snf_diagonal_and_minor_gcds(matrix):
+    s = smith_normal_form(matrix).s
+    diagonal = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i]]
+    assert list(invariant_factors(matrix)) == diagonal == invariant_factors_by_minors(matrix)
 
 
 def test_invariant_factors():
@@ -236,6 +254,75 @@ def test_cohomology_agrees_with_universal_coefficients_from_homology():
             hk1 = homology(cw, k - 1) if k > 0 else AbelianGroup(0)
             expected = AbelianGroup.from_parts(hk.rank, hk1.torsion)
             assert cohomology(cw, k, INTEGERS) == expected, (cw, k)
+
+
+def test_huge_prime_torsion_is_read_without_factoring():
+    # 2^61 - 1 is prime: trial division up to its square root would not return
+    p = 2**61 - 1
+    cw = CWDescription([("v", 0), ("a", 1), ("f", 2)], {1: [[0]], 2: [[p]]})
+    assert homology(cw, 1) == AbelianGroup(0, (p,))
+    assert cohomology(cw, 2, INTEGERS) == AbelianGroup(0, (p,))
+    assert cohomology(cw, 2, RATIONALS) == AbelianGroup(0)
+    assert cohomology(cw, 1, CoefficientSpec("Zmod", p)) == AbelianGroup(0, (p,))
+    assert AbelianGroup.from_parts(0, [p, 2 * p, 3]) == AbelianGroup(0, (p, 6 * p))
+
+
+def _unimodular_pair(n, rng):
+    """A random unimodular matrix G and its inverse, from 3n transvections."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    g_inv = [row[:] for row in g]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]  # G <- E G, E = I + c e_ij
+        for row in g_inv:  # G^-1 <- G^-1 E^-1
+            row[j] -= c * row[i]
+    return g, g_inv
+
+
+def _seeded_chain_complex(rng, top=3):
+    """Boundaries G_(k-1) D_k G_k^-1 of at most 5 x 5, where D_k sends the
+    i-th cell of E_k to d_i times the i-th cell of B_(k-1) and kills
+    B_k and the free cells, so boundary_k boundary_(k+1) = 0 by construction."""
+    extra = [0] + [rng.randint(0, 2) for _ in range(top)]
+    sizes = [
+        (extra[k + 1] if k < top else 0) + rng.randint(0, 1) + extra[k] for k in range(top + 1)
+    ]
+    pairs = [_unimodular_pair(n, rng) for n in sizes]
+    boundaries = {}
+    for k in range(1, top + 1):
+        d = [[0] * sizes[k] for _ in range(sizes[k - 1])]
+        first_e = sizes[k] - extra[k]
+        for i in range(extra[k]):
+            d[i][first_e + i] = rng.choice((1, 2, 3, 4, 6, 9))
+        d = int_mat_mul(int_mat_mul(pairs[k - 1][0], d), pairs[k][1])
+        if d:  # a map out of an empty degree stays implicit
+            boundaries[k] = d
+    cells = [(f"c{k}_{i}", k) for k in range(top + 1) for i in range(sizes[k])]
+    return CWDescription(cells, boundaries)
+
+
+def _coboundary(cw, k):
+    """delta_k : C^k -> C^(k+1), the transpose of boundary_(k+1), as n_(k+1) x n_k."""
+    d = cw.boundary(k + 1)
+    return [[d[i][j] for i in range(len(d))] for j in range(cw.cell_count(k + 1))]
+
+
+def test_cohomology_matches_coboundary_oracles():
+    rng = random.Random(6)
+    for _ in range(40):
+        cw = _seeded_chain_complex(rng)
+        for k in range(cw.max_dim + 1):
+            n_k = cw.cell_count(k)
+            out_of, into = _coboundary(cw, k), _coboundary(cw, k - 1)
+            rank_out = len(invariant_factors_by_minors(out_of))
+            image = invariant_factors_by_minors(into)
+            expected = AbelianGroup(n_k - rank_out - len(image), tuple(f for f in image if f > 1))
+            assert cohomology(cw, k, INTEGERS) == expected, (cw, k)
+            assert cohomology(cw, k, RATIONALS) == AbelianGroup(expected.rank), (cw, k)
+            for p, coeffs in ((2, Z2), (3, Z3)):
+                dim = n_k - rank_p(out_of, p) - rank_p(into, p)
+                assert cohomology(cw, k, coeffs) == AbelianGroup(0, (p,) * dim), (cw, k, p)
 
 
 def test_cohomology_profile_shape():
