@@ -459,6 +459,8 @@ def build_table(level: int) -> MultiplicationTable:
 
 def scalar_to_json(value: Scalar):
     """Exact scalars become 'num/den' decimal strings; floats stay numbers."""
+    if type(value) is int:
+        return str(value)  # what str(Fraction(value)) gives, without building one
     if _is_exact(value):
         return str(Fraction(value))
     return float(value)

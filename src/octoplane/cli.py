@@ -39,7 +39,11 @@ _CHECKERS = {
 
 
 def _emit(args: argparse.Namespace, payload, text_lines) -> None:
+    """Print the payload as JSON under --json, else the text lines; a payload
+    that text mode should not pay for comes as the function that builds it."""
     if args.json:
+        if callable(payload):
+            payload = payload()
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -85,17 +89,20 @@ def _cmd_zero_divisors(args: argparse.Namespace) -> int:
     pairs = properties.find_zero_divisors(args.level)
     expected_nonempty = not properties.EXPECTED_HOLDS["division"](args.level)
     match = bool(pairs) == expected_nonempty
-    payload = {
-        "level": args.level,
-        "count": len(pairs),
-        "match": match,
-        "pairs": [[cd_to_json(u), cd_to_json(v)] for u, v in pairs],
-    }
     lines = [f"level {args.level}: {len(pairs)} zero-divisor pairs"]
     lines.extend(f"  ({u!r}) * ({v!r}) = 0" for u, v in pairs[:10])
     if len(pairs) > 10:
         lines.append(f"  ... {len(pairs) - 10} more")
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {
+            "level": args.level,
+            "count": len(pairs),
+            "match": match,
+            "pairs": [[cd_to_json(u), cd_to_json(v)] for u, v in pairs],
+        },
+        lines,
+    )
     return 0 if match else 1
 
 

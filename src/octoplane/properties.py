@@ -1,22 +1,23 @@
 """Property checkers for the Cayley-Dickson tower.
 
 Each identity is written once, as a predicate on two or three elements
-that is true when they violate it.  One sweep runs a checker's predicate
-over three phases of candidate tuples, in this order:
+that is true when they violate it.  One sweep runs the predicates of
+the five identity checkers over three phases of candidate tuples, in
+this order:
 
 1. basis: every tuple of basis elements, in lexicographic index order.
    The predicate runs on signed basis units, whose products come from the
    level's multiplication table, so the phase costs table reads rather
    than coordinate products; a hit is reported as the candidate tuple of
    ``CDNumber.basis`` elements.
-2. two-term: at level >= 4, ordered pairs of two-term signed basis sums
-   e_i +/- e_j, where the failures that basis tuples cannot see live.
-   A checker sweeps all of them or a fixed prefix, so such a failure
-   reproduces without any seed.  The identity predicates run here on
-   batches of pairs, whose products come from ``algebra.mul_batch``, in
-   chunks that grow from 64 to 512 pairs; the first violating pair in
-   the chunk is the witness, and it counts as one candidate more than
-   the pairs before it, exactly as a walk one pair at a time counts.
+2. two-term: at level >= 4, for the checkers that ask for it, every
+   ordered pair of two-term signed basis sums e_i +/- e_j, where the
+   failures that basis tuples cannot see live, so such a failure
+   reproduces without any seed.  The predicates run here on batches of
+   pairs, whose products come from ``algebra.mul_batch``, in chunks that
+   grow from 64 to 512 pairs; the first violating pair in the chunk is
+   the witness, and it counts as one candidate more than the pairs
+   before it, exactly as a walk one pair at a time counts.
 3. random: ``samples`` seeded random tuples with exact integer entries.
 
 The first violating candidate ends the sweep.  Verdicts are exact:
@@ -25,6 +26,12 @@ identity with no tolerance.  ``samples`` in a report counts the
 candidates examined, with one convention: the basis phase counts whole,
 dim**arity, even when its violation comes early; the pinned ``audit-all``
 output relies on it.
+
+The two-generated check is no identity on a fixed number of elements,
+so it has its own short loop: the first 512 two-term pairs at level 4,
+then seeded random pairs, each judged by closing the pair under products
+and testing associators on a spanning subset.  It shares the sweep's
+argument check and random draws.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, build_table, cd_to_json, mul_batch
+from .algebra import CDNumber, _gather_layout, build_table, cd_to_json, mul_batch
 
 MAX_CHECK_LEVEL = 6
 
@@ -95,30 +102,6 @@ def random_exact(level: int, rng: random.Random, span: int = 9) -> CDNumber:
 def associator(x: CDNumber, y: CDNumber, z: CDNumber) -> CDNumber:
     """(xy)z - x(yz), exactly; zero iff the triple associates."""
     return (x * y) * z - x * (y * z)
-
-
-def _two_terms(level: int) -> dict[tuple[int, int, int], CDNumber]:
-    """e_i + s*e_j keyed by (i, j, s), for i < j in lexicographic order and
-    s = +1 before s = -1."""
-    dim = 1 << level
-    out = {}
-    for i, j in itertools.combinations(range(dim), 2):
-        for s in (1, -1):
-            coords = [0] * dim
-            coords[i] = 1
-            coords[j] = s
-            out[i, j, s] = CDNumber(level, tuple(coords))
-    return out
-
-
-def two_term_elements(level: int) -> list[CDNumber]:
-    """All e_i + s*e_j with i < j and s = +/-1; the small-support pattern space."""
-    return list(_two_terms(level).values())
-
-
-def _two_term_pairs(level: int) -> Iterator[tuple[CDNumber, CDNumber]]:
-    """Every ordered pair of two-term elements, first element major."""
-    return itertools.product(two_term_elements(level), repeat=2)
 
 
 # -- the identities, each written once: true when the tuple violates it ---
@@ -221,7 +204,8 @@ _MAX_CHUNK = 512
 
 
 def _two_term_rows(level: int) -> np.ndarray:
-    """The coordinates of ``two_term_elements(level)``, one row each, in order."""
+    """The two-term signed basis sums e_i + s*e_j at ``level``, one row of
+    coordinates each: i < j in lexicographic order, s = +1 before s = -1."""
     dim = 1 << level
     i, j = np.triu_indices(dim, 1)  # i < j, lexicographic, like itertools.combinations
     rows = np.zeros((2 * len(i), dim), dtype=np.int64)
@@ -232,17 +216,16 @@ def _two_term_rows(level: int) -> np.ndarray:
 
 
 def _batched_two_term_sweep(
-    level: int, violates: Callable[..., object], limit: Optional[int]
+    level: int, violates: Callable[..., np.ndarray]
 ) -> tuple[int, Optional[tuple[CDNumber, CDNumber]]]:
-    """Judge the ordered two-term pairs, first element major, in batches.
+    """Judge every ordered two-term pair, first element major, in batches.
 
     Returns how many pairs were judged, through the first violating one,
-    and that pair, or None after the first ``limit`` pairs (all of them
-    for None) pass.
+    and that pair, or None when all of them pass.
     """
     rows = _two_term_rows(level)
     count = len(rows)
-    total = count * count if limit is None else min(limit, count * count)
+    total = count * count
     start, size = 0, _FIRST_CHUNK
     while start < total:
         index = np.arange(start, min(start + size, total))
@@ -256,6 +239,20 @@ def _batched_two_term_sweep(
     return total, None
 
 
+def _check_arguments(level: int, samples: int, cap: int) -> None:
+    if not 0 <= level <= cap:
+        raise ValueError(f"level must be in [0, {cap}], got {level}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
+def _random_tuples(level: int, samples: int, seed: int, arity: int) -> Iterator[tuple]:
+    """``samples`` tuples of ``arity`` seeded random elements, drawn in order."""
+    rng = random.Random(seed)
+    draws = (random_exact(level, rng) for _ in range(arity * samples))
+    return zip(*[draws] * arity)  # arity draws per tuple
+
+
 def _sweep(
     name: str,
     level: int,
@@ -263,51 +260,32 @@ def _sweep(
     seed: int,
     arity: int,
     violates: Callable[..., object],
-    identity: bool = True,
-    two_term: Optional[int] = 0,
-    cap: int = MAX_CHECK_LEVEL,
+    two_term: bool = False,
 ) -> PropertyReport:
     """Run ``violates`` over the basis, two-term and random phases in order.
 
-    ``violates(*candidate)`` is false when the candidate keeps the property;
-    otherwise it is True, making the candidate the counterexample, or the
-    counterexample itself.  ``two_term`` caps the level >= 4 pair phase:
-    0 skips it, None sweeps every pair.  An ``identity`` predicate uses
-    only products, norms and ``!=``: the basis phase runs it on signed
-    units and the two-term phase on batches.  Any other predicate gets no
-    basis phase and judges the two-term pairs one at a time.
+    ``violates(*candidate)`` is true when the candidate breaks the identity,
+    and then the candidate is the counterexample.  It uses only products,
+    norms and ``!=``, so the basis phase runs it on signed units and the
+    two-term phase, swept in full at level >= 4 when ``two_term`` is set,
+    on batches.
     """
-    if not 0 <= level <= cap:
-        raise ValueError(f"level must be in [0, {cap}], got {level}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    tested = 0
-    if identity:
-        units = _units(level)[: 1 << level]
-        tested = len(units) ** arity
-        for xs in itertools.product(units, repeat=arity):
-            if violates(*xs):
-                hit = tuple(CDNumber.basis(level, u.index) for u in xs)
-                return PropertyReport(name, level, "fails", hit, tested)
-
-    rng = random.Random(seed)
-    draws = (random_exact(level, rng) for _ in range(arity * samples))
-    candidates: Iterable[tuple] = zip(*[draws] * arity)  # arity draws per candidate
-    if level >= 4 and two_term != 0:
-        if identity:
-            judged, pair = _batched_two_term_sweep(level, violates, two_term)
-            tested += judged
-            if pair is not None:
-                return PropertyReport(name, level, "fails", pair, tested)
-        else:
-            candidates = itertools.chain(
-                itertools.islice(_two_term_pairs(level), two_term), candidates
-            )
-    for xs in candidates:
+    _check_arguments(level, samples, MAX_CHECK_LEVEL)
+    units = _units(level)[: 1 << level]
+    tested = len(units) ** arity
+    for xs in itertools.product(units, repeat=arity):
+        if violates(*xs):
+            hit = tuple(CDNumber.basis(level, u.index) for u in xs)
+            return PropertyReport(name, level, "fails", hit, tested)
+    if two_term and level >= 4:
+        judged, pair = _batched_two_term_sweep(level, violates)
+        tested += judged
+        if pair is not None:
+            return PropertyReport(name, level, "fails", pair, tested)
+    for xs in _random_tuples(level, samples, seed, arity):
         tested += 1
-        hit = violates(*xs)
-        if hit:
-            return PropertyReport(name, level, "fails", xs if hit is True else hit, tested)
+        if violates(*xs):
+            return PropertyReport(name, level, "fails", xs, tested)
     return PropertyReport(name, level, "holds", None, tested)
 
 
@@ -331,7 +309,7 @@ def check_alternative(level: int, samples: int, seed: int = 0) -> PropertyReport
     also sweeps every pair of two-term signed basis sums, where the
     failures are.
     """
-    return _sweep("alternative", level, samples, seed, 2, _nonalternative, two_term=None)
+    return _sweep("alternative", level, samples, seed, 2, _nonalternative, two_term=True)
 
 
 def check_flexible(level: int, samples: int, seed: int = 0) -> PropertyReport:
@@ -342,16 +320,16 @@ def check_flexible(level: int, samples: int, seed: int = 0) -> PropertyReport:
 def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """|xy|^2 = |x|^2 |y|^2 exactly; fails from the sedenions on."""
     violates = _norm_nonmultiplicative
-    return _sweep("norm_multiplicative", level, samples, seed, 2, violates, two_term=None)
+    return _sweep("norm_multiplicative", level, samples, seed, 2, violates, two_term=True)
 
 
 def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     """Nonzero pairs (u, v) with uv = 0, over all two-term signed basis sums.
 
     Exhaustive and sound over that pattern: every pair of two-term elements
-    with zero product is returned, in the order of ``_two_term_pairs``,
-    and no other.  Levels <= 3 are division algebras and return the empty
-    list.
+    with zero product is returned, and no other, in the order of the
+    ordered pairs of ``_two_term_rows``, first element major.  Levels <= 3
+    are division algebras and return the empty list.
 
     The scan is table arithmetic, with no coordinate products.  For
     u = e_i + s*e_j and v = e_k + t*e_l (i < j, k < l), uv is the four
@@ -374,17 +352,15 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     if level > MAX_CHECK_LEVEL:
         raise ValueError(f"level must be <= {MAX_CHECK_LEVEL}, got {level}")
     dim = 1 << level
-    terms = _two_terms(level)
+    terms = [CDNumber(level, r) for r in _two_term_rows(level).tolist()]
+    # e_k + t*e_l (k < l) is terms[2 * (offset[k] + l) + (t < 0)]
+    offset = [k * (2 * dim - k - 3) // 2 - 1 for k in range(dim)]
     rows = build_table(level).rows()
-    # column_of[j][m] = l with e_j e_l = +/- e_m
-    column_of = [[0] * dim for _ in range(dim)]
-    for j, row in enumerate(rows):
-        for l, (_, m) in enumerate(row):
-            column_of[j][m] = l
+    column_of = _gather_layout(level)[0].T.tolist()  # column_of[j][m] = l with e_j e_l = +/- e_m
     pairs = []
     for i, j in itertools.combinations(range(dim), 2):
         row_i, row_j, column_j = rows[i], rows[j], column_of[j]
-        hits = []  # (k, l, c): v = e_k + s*c*e_l pairs with u = e_i + s*e_j
+        hits = []  # (n, c): v = terms[n] at t = s*c, paired with u = e_i + s*e_j
         for k in range(dim):
             sign_ik, m = row_i[k]
             l = column_j[m]
@@ -396,9 +372,10 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
             # e_i e_k + st e_j e_l = 0 gives t = -s sign_ik sign_jl; then
             # t e_i e_l + s e_j e_k = 0 holds iff the four signs multiply to 1
             if m_il == m_jk and sign_ik * sign_jl * sign_il * sign_jk == 1:
-                hits.append((k, l, -sign_ik * sign_jl))
+                hits.append((2 * (offset[k] + l), -sign_ik * sign_jl))
+        u = 2 * (offset[i] + j)
         for s in (1, -1):
-            pairs.extend((terms[i, j, s], terms[k, l, s * c]) for k, l, c in hits)
+            pairs.extend((terms[u + (s < 0)], terms[n + (s * c < 0)]) for n, c in hits)
     return pairs
 
 
@@ -477,19 +454,6 @@ def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
     return basis
 
 
-def _subalgebra_associator_violation(
-    x: CDNumber, y: CDNumber, max_len: int
-) -> Optional[tuple[CDNumber, CDNumber, CDNumber]]:
-    words = _word_closure(x, y, max_len)
-    # the associator is trilinear, so it vanishes on all word triples iff
-    # it vanishes on triples from a spanning subset of the words
-    basis = _greedy_span_basis(words)
-    for triple in itertools.product(basis, repeat=3):
-        if _nonassociating(*triple):
-            return triple
-    return None
-
-
 def check_two_generated_associativity(
     level: int, samples: int, seed: int = 0, word_length: int = 4
 ) -> PropertyReport:
@@ -498,14 +462,25 @@ def check_two_generated_associativity(
     Words in {x, y, x*, y*} up to ``word_length`` letters are formed under
     all parenthesizations and all associators among them must vanish
     exactly.  True through the octonions, false for sedenions.  There is
-    no basis phase; at level 4 the first 512 two-term pairs come before
-    the random pairs, and the first violations sit early among them.
+    no basis phase; at level 4 the first 512 ordered two-term pairs come
+    before the random pairs, and the first violations sit early among them.
+    The counterexample is the first non-associating triple of words.
     """
     if word_length < 2:
         raise ValueError("word_length must be at least 2")
-
-    def violates(x: CDNumber, y: CDNumber):
-        return _subalgebra_associator_violation(x, y, word_length)
-
+    _check_arguments(level, samples, 4)
+    candidates = _random_tuples(level, samples, seed, 2)
+    if level >= 4:
+        terms = [CDNumber(level, r) for r in _two_term_rows(level).tolist()]
+        candidates = itertools.chain(
+            itertools.islice(itertools.product(terms, repeat=2), 512), candidates
+        )
     name = "two_generated_associative"
-    return _sweep(name, level, samples, seed, 2, violates, identity=False, two_term=512, cap=4)
+    for tested, (x, y) in enumerate(candidates, 1):
+        # the associator is trilinear, so it vanishes on all word triples iff
+        # it vanishes on triples from a spanning subset of the words
+        basis = _greedy_span_basis(_word_closure(x, y, word_length))
+        for triple in itertools.product(basis, repeat=3):
+            if _nonassociating(*triple):
+                return PropertyReport(name, level, "fails", triple, tested)
+    return PropertyReport(name, level, "holds", None, tested)

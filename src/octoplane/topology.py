@@ -388,15 +388,20 @@ def builtin_cw(name: str) -> CWDescription:
 # -- (co)homology ------------------------------------------------------------
 
 
-def _degree_factors(cw: CWDescription, k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _boundary_factors(cw: CWDescription, degrees: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Invariant factors of boundary_d for each d in ``degrees``; a boundary
+    with no cells on one side is zero, is not factored and is left out."""
+    nonzero = [d for d in degrees if cw.cell_count(d) and cw.cell_count(d - 1)]
+    return {d: invariant_factors(cw.boundary(d)) for d in nonzero}
+
+
+def _degree_factors(
+    cw: CWDescription, k: int, factors: Mapping[int, tuple[int, ...]]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Free rank n_k - |f_k| - |f_(k+1)| in degree k, with the invariant
-    factors f_k of boundary_k and f_(k+1) of boundary_(k+1)."""
-    n_k = cw.cell_count(k)
-    if n_k == 0:
-        return 0, (), ()
-    lower = invariant_factors(cw.boundary(k))
-    upper = invariant_factors(cw.boundary(k + 1))
-    return n_k - len(lower) - len(upper), lower, upper
+    factors f_k of boundary_k and f_(k+1) of boundary_(k+1), from ``factors``."""
+    lower, upper = factors.get(k, ()), factors.get(k + 1, ())
+    return cw.cell_count(k) - len(lower) - len(upper), lower, upper
 
 
 def homology(cw: CWDescription, k: int) -> AbelianGroup:
@@ -404,7 +409,7 @@ def homology(cw: CWDescription, k: int) -> AbelianGroup:
 
     The torsion is the chain of invariant factors of boundary_(k+1) above 1.
     """
-    rank, _, upper = _degree_factors(cw, k)
+    rank, _, upper = _degree_factors(cw, k, _boundary_factors(cw, (k, k + 1)))
     return AbelianGroup(rank, tuple(f for f in upper if f > 1))
 
 
@@ -420,7 +425,11 @@ def cohomology(
     universal-coefficient bookkeeping
     H^k(C; Z/m) = H^k(C; Z) (x) Z/m  (+)  Tor(H^(k+1)(C; Z), Z/m).
     """
-    rank, lower, upper = _degree_factors(cw, k)
+    return _cohomology(cw, k, coefficients, _boundary_factors(cw, (k, k + 1)))
+
+
+def _cohomology(cw: CWDescription, k: int, coefficients: CoefficientSpec, factors) -> AbelianGroup:
+    rank, lower, upper = _degree_factors(cw, k, factors)
     if coefficients.kind == "Z":
         return AbelianGroup(rank, tuple(f for f in lower if f > 1))
     if coefficients.kind == "Q":
@@ -432,8 +441,9 @@ def cohomology(
 def cohomology_profile(
     cw: CWDescription, coefficients: CoefficientSpec = INTEGERS
 ) -> list[AbelianGroup]:
-    """Cohomology in every degree 0..max_dim."""
-    return [cohomology(cw, k, coefficients) for k in range(cw.max_dim + 1)]
+    """Cohomology in every degree 0..max_dim, factoring each boundary once."""
+    factors = _boundary_factors(cw, range(cw.max_dim + 2))
+    return [_cohomology(cw, k, coefficients, factors) for k in range(cw.max_dim + 1)]
 
 
 # -- Hopf-invariant proxies ---------------------------------------------------

@@ -421,6 +421,7 @@ def test_inner_product_formula_is_real():
 def test_scalar_json():
     assert scalar_to_json(Fraction(3, 4)) == "3/4"
     assert scalar_to_json(-2) == "-2"
+    assert scalar_to_json(-(10**40)) == "-1" + "0" * 40
     assert scalar_to_json(0.5) == 0.5
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from octoplane import topology
+from octoplane import cli, topology
 from octoplane.cli import main
 
 
@@ -59,6 +59,15 @@ def test_zero_divisors(capsys):
     assert code == 0 and doc["count"] > 0
     first_u, first_v = doc["pairs"][0]
     assert first_u["level"] == 4 and len(first_v["coords"]) == 16
+
+
+def test_zero_divisors_text_mode_serialises_nothing(capsys, monkeypatch):
+    def refuse(x):
+        raise AssertionError("text mode built the JSON payload")
+
+    monkeypatch.setattr(cli, "cd_to_json", refuse)
+    code, out = run(capsys, "zero-divisors", "--level", "4")
+    assert code == 0 and out.startswith("level 4: 336 zero-divisor pairs\n")
 
 
 def test_chart_roundtrip(capsys):

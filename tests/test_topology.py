@@ -325,6 +325,30 @@ def test_cohomology_matches_coboundary_oracles():
                 assert cohomology(cw, k, coeffs) == AbelianGroup(0, (p,) * dim), (cw, k, p)
 
 
+def test_profile_factors_each_boundary_once(monkeypatch):
+    complexes = [builtin_cw(name) for name in ("RP2", "OP2", "hypothetical-OP3")]
+    rng = random.Random(11)
+    complexes += [_seeded_chain_complex(rng) for _ in range(10)]
+    read = []  # the degree of each boundary read, and so factored
+    boundary = CWDescription.boundary
+
+    def logged(cw, d):
+        read.append(d)
+        return boundary(cw, d)
+
+    # patched after construction, which reads every boundary to check dd = 0
+    monkeypatch.setattr(CWDescription, "boundary", logged)
+    for cw in complexes:
+        for coeffs in (INTEGERS, RATIONALS, CoefficientSpec.parse("Zmod:6")):
+            read.clear()
+            profile = cohomology_profile(cw, coeffs)
+            assert len(read) == len(set(read)), (cw, coeffs, read)
+            for k, group in enumerate(profile):
+                read.clear()
+                assert cohomology(cw, k, coeffs) == group
+                assert set(read) <= {k, k + 1}
+
+
 def test_cohomology_profile_shape():
     profile = cohomology_profile(builtin_cw("OP2"))
     assert len(profile) == 17
