@@ -8,6 +8,11 @@ the sedenions, and so on.  Each level doubles the previous one via
     conj((a, b))    = (conj(a), -b)
     |(a, b)|^2      = |a|^2 + |b|^2
 
+In this doubling basis the product of two basis elements is always
+e_i * e_j = +/- e_(i xor j): the tower is a twisted group algebra of
+(Z/2)^n (Albuquerque-Majid 1999).  So only the signs are tabulated, and
+every index of a basis product is computed as i ^ j.
+
 Coordinates may be exact (int / Fraction, no rounding anywhere) or
 double-precision floats.  All values are immutable and every operation
 is a pure function, so everything here is safe to share across threads.
@@ -46,54 +51,34 @@ def _is_exact(value: Scalar) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _flat_table(level: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Signed basis products at ``level``, flattened row-major.
+def _signs(level: int) -> tuple[tuple[int, ...], ...]:
+    """Sign rows of the basis products: e_i * e_j = _signs(level)[i][j] * e_(i ^ j).
 
-    Returns (signs, indices) with e_i * e_j = signs[i*dim+j] * e_{indices[i*dim+j]}.
-    Built by doubling the table one level at a time; this is the doubling
-    product evaluated on basis elements, where conj(e_j) = e_j for j = 0
-    and -e_j otherwise.
+    Built by doubling one level at a time: the doubling product evaluated
+    on basis elements, where conj(e_j) = e_j for j = 0 and -e_j otherwise.
+    Halves are joined by setting the top bit, so the index of every
+    product is i xor j and only its sign is data.
     """
     if level == 0:
-        return (1,), (0,)
-    prev_signs, prev_idx = _flat_table(level - 1)
-    half = 1 << (level - 1)
-    dim = 1 << level
-    signs = [0] * (dim * dim)
-    idxs = [0] * (dim * dim)
-    for i in range(dim):
-        row = i * dim
-        for j in range(dim):
-            if i < half and j < half:
-                # (e_i, 0)(e_j, 0) = (e_i e_j, 0)
-                s, k = prev_signs[i * half + j], prev_idx[i * half + j]
-            elif i < half:
-                # (e_i, 0)(0, e_j') = (0, e_j' e_i)
-                jj = j - half
-                s, k = prev_signs[jj * half + i], prev_idx[jj * half + i] + half
-            elif j < half:
-                # (0, e_i')(e_j, 0) = (0, e_i' conj(e_j))
-                ii = i - half
-                c = 1 if j == 0 else -1
-                s, k = c * prev_signs[ii * half + j], prev_idx[ii * half + j] + half
-            else:
-                # (0, e_i')(0, e_j') = (-conj(e_j') e_i', 0)
-                ii, jj = i - half, j - half
-                c = 1 if jj == 0 else -1
-                s, k = -c * prev_signs[jj * half + ii], prev_idx[jj * half + ii]
-            signs[row + j] = s
-            idxs[row + j] = k
-    return tuple(signs), tuple(idxs)
+        return ((1,),)
+    prev = _signs(level - 1)
+    half = range(1 << (level - 1))
+    # (e_i, 0)(e_j, 0) = (e_i e_j, 0) and (e_i, 0)(0, e_j) = (0, e_j e_i)
+    low = [prev[i] + tuple(prev[j][i] for j in half) for i in half]
+    # (0, e_i)(e_j, 0) = (0, e_i conj(e_j)) and (0, e_i)(0, e_j) = (-conj(e_j) e_i, 0)
+    high = [
+        tuple(-prev[i][j] if j else prev[i][j] for j in half)
+        + tuple(prev[j][i] if j else -prev[j][i] for j in half)
+        for i in half
+    ]
+    return tuple(low + high)
 
 
 @lru_cache(maxsize=None)
 def _struct_rows(level: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per-row (j, index, sign) triples; the multiply kernel's layout."""
-    signs, idxs = _flat_table(level)
-    dim = 1 << level
+    """Per-row (j, i ^ j, sign) triples; the multiply kernel's layout."""
     return tuple(
-        tuple((j, idxs[i * dim + j], signs[i * dim + j]) for j in range(dim))
-        for i in range(dim)
+        tuple((j, i ^ j, s) for j, s in enumerate(row)) for i, row in enumerate(_signs(level))
     )
 
 
@@ -120,18 +105,13 @@ def _mul_coords(level: int, xc: tuple, yc: tuple) -> tuple:
 def _gather_layout(level: int) -> tuple[np.ndarray, np.ndarray]:
     """(columns, signs) with e_i * e_j = signs[k, i] * e_k for j = columns[k, i].
 
-    Every row of the index table is a permutation, so for each i and k
-    exactly one j puts e_i * e_j on the axis of e_k.  The arrays are
-    shared between calls and read-only.
+    e_i * e_j lies on the axis of e_(i ^ j), so for each i and k exactly
+    one j = k ^ i puts it on the axis of e_k.  The arrays are shared
+    between calls and read-only.
     """
-    signs, idxs = _flat_table(level)
-    dim = 1 << level
-    columns = np.empty((dim, dim), dtype=np.intp)
-    gathered_signs = np.empty((dim, dim), dtype=np.int64)
-    for p, (s, k) in enumerate(zip(signs, idxs)):
-        i, j = divmod(p, dim)
-        columns[k, i] = j
-        gathered_signs[k, i] = s
+    index = np.arange(1 << level)
+    columns = index[:, None] ^ index
+    gathered_signs = np.array(_signs(level), dtype=np.int64)[index, columns]
     columns.flags.writeable = False
     gathered_signs.flags.writeable = False
     return columns, gathered_signs
@@ -395,17 +375,16 @@ def inner_product(x: CDNumber, y: CDNumber) -> Scalar:
 class MultiplicationTable:
     """Signed basis-product table for one level of the tower.
 
-    entry(i, j) = (sign, index) with e_i * e_j = sign * e_index.  Products
+    entry(i, j) = (sign, i ^ j) with e_i * e_j = sign * e_(i ^ j).  Products
     of basis elements are always a single signed basis element, so the
-    table describes multiplication completely.
+    table describes multiplication completely; only the signs are stored.
     """
 
-    __slots__ = ("level", "_signs", "_idxs")
+    __slots__ = ("level", "_sign_rows")
 
-    def __init__(self, level: int, signs: tuple[int, ...], idxs: tuple[int, ...]):
+    def __init__(self, level: int, sign_rows: tuple[tuple[int, ...], ...]):
         self.level = level
-        self._signs = signs
-        self._idxs = idxs
+        self._sign_rows = sign_rows
 
     @property
     def dim(self) -> int:
@@ -415,14 +394,11 @@ class MultiplicationTable:
         dim = self.dim
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"indices ({i}, {j}) out of range for level {self.level}")
-        p = i * dim + j
-        return self._signs[p], self._idxs[p]
+        return self._sign_rows[i][j], i ^ j
 
     def rows(self) -> list[list[tuple[int, int]]]:
-        dim = self.dim
         return [
-            [(self._signs[i * dim + j], self._idxs[i * dim + j]) for j in range(dim)]
-            for i in range(dim)
+            [(s, i ^ j) for j, s in enumerate(row)] for i, row in enumerate(self._sign_rows)
         ]
 
     def to_json(self) -> dict:
@@ -450,8 +426,7 @@ def build_table(level: int) -> MultiplicationTable:
         raise TableSizeError(
             f"level {level} table would have {4 ** level} entries; cap is {TABLE_LEVEL_CAP}"
         )
-    signs, idxs = _flat_table(level)
-    return MultiplicationTable(level, signs, idxs)
+    return MultiplicationTable(level, _signs(level))
 
 
 # -- JSON scalar/number helpers ----------------------------------------
@@ -477,4 +452,26 @@ def cd_to_json(x: CDNumber) -> dict:
 
 
 def cd_from_json(data: dict) -> CDNumber:
-    return CDNumber(int(data["level"]), tuple(scalar_from_json(v) for v in data["coords"]))
+    """Read back what ``cd_to_json`` writes; anything else raises ValueError.
+
+    The level must be an int and the coordinates a list of 'num/den'
+    strings (exact) or numbers (floats), bools excluded: ``int`` would
+    truncate a level of 2.9, and a string would pass as a sequence of
+    one-character coordinates.
+    """
+    if not isinstance(data, dict) or not {"level", "coords"} <= data.keys():
+        raise ValueError(f"expected an object with 'level' and 'coords', got {data!r}")
+    level, coords = data["level"], data["coords"]
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ValueError(f"level must be an integer, got {level!r}")
+    if not isinstance(coords, list) or not all(
+        isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in coords
+    ):
+        raise ValueError(f"coords must be a list of strings or numbers, got {coords!r}")
+    if len(coords).bit_length() != level + 1:  # also keeps 1 << level small
+        raise ValueError(f"level {level} needs 2^{level} coordinates, got {len(coords)}")
+    try:
+        values = tuple(scalar_from_json(v) for v in coords)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad coordinate in {coords!r}: {exc}") from exc
+    return CDNumber(level, values)

@@ -7,8 +7,8 @@ this order:
 
 1. basis: every tuple of basis elements, in lexicographic index order.
    The predicate runs on signed basis units, whose products come from the
-   level's multiplication table, so the phase costs table reads rather
-   than coordinate products; a hit is reported as the candidate tuple of
+   level's sign table, so the phase costs table reads rather than
+   coordinate products; a hit is reported as the candidate tuple of
    ``CDNumber.basis`` elements.
 2. two-term: at level >= 4, for the checkers that ask for it, every
    ordered pair of two-term signed basis sums e_i +/- e_j, where the
@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _gather_layout, build_table, cd_to_json, mul_batch
+from .algebra import CDNumber, _signs, cd_to_json, mul_batch
 
 MAX_CHECK_LEVEL = 6
 
@@ -136,7 +136,7 @@ class _Unit:
     Implements just what the identity predicates use, so the basis phase
     evaluates the same predicates as the other phases.  ``_units`` interns
     the units of a level, so equality is identity and a product is one
-    list lookup, filled in from the level's multiplication table.
+    list lookup, filled in from the level's sign table.
     """
 
     __slots__ = ("sign", "index", "position", "products")
@@ -157,13 +157,14 @@ class _Unit:
 @lru_cache(maxsize=None)
 def _units(level: int) -> tuple[_Unit, ...]:
     """The signed basis units at ``level``: +e_i at position i, -e_i at dim + i."""
-    table = build_table(level)
-    dim = table.dim
+    signs = _signs(level)
+    dim = 1 << level
     units = [_Unit(sign, p % dim, p) for p, sign in enumerate([1] * dim + [-1] * dim)]
     for x in units:
+        row = signs[x.index]
         for y in units:
-            s, k = table.entry(x.index, y.index)
-            x.products.append(units[k if x.sign * y.sign * s > 0 else dim + k])
+            k = x.index ^ y.index
+            x.products.append(units[k if x.sign * y.sign * row[y.index] > 0 else dim + k])
     return tuple(units)
 
 
@@ -331,17 +332,15 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     ordered pairs of ``_two_term_rows``, first element major.  Levels <= 3
     are division algebras and return the empty list.
 
-    The scan is table arithmetic, with no coordinate products.  For
+    The scan is sign arithmetic, with no coordinate products.  For
     u = e_i + s*e_j and v = e_k + t*e_l (i < j, k < l), uv is the four
-    signed basis units e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l; write
-    i.k for the index of e_i e_k.  Every row and every column of the index
-    table is a permutation, so
-    i.k differs from i.l and from j.k: the unit at i.k can only cancel
-    against the one at j.l, and the unit at i.l only against the one at
-    j.k.  So uv = 0 exactly when i.k = j.l, i.l = j.k and both sign pairs
-    cancel.  For each (i, j) and each k there is then one candidate l,
-    read off the inverse of row j, and the first cancellation fixes t;
-    the second one does not involve s, so a hit for s = +1 comes with a
+    signed basis units e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, on the
+    axes i ^ k, i ^ l, j ^ k and j ^ l.  Since k != l and i != j, the unit
+    at i ^ k can only cancel against the one at j ^ l, which pins
+    l = i ^ j ^ k; then i ^ l = j ^ k holds too, so the other two units
+    share an axis as well.  So each (i, j) and k has one partner l, the
+    first cancellation fixes t, and the four-sign product alone decides
+    the second: it does not involve s, so a hit for s = +1 comes with a
     hit for s = -1 at the opposite t.  Taking k in ascending order keeps
     the scan's order.
     """
@@ -355,24 +354,19 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     terms = [CDNumber(level, r) for r in _two_term_rows(level).tolist()]
     # e_k + t*e_l (k < l) is terms[2 * (offset[k] + l) + (t < 0)]
     offset = [k * (2 * dim - k - 3) // 2 - 1 for k in range(dim)]
-    rows = build_table(level).rows()
-    column_of = _gather_layout(level)[0].T.tolist()  # column_of[j][m] = l with e_j e_l = +/- e_m
+    signs = _signs(level)
     pairs = []
     for i, j in itertools.combinations(range(dim), 2):
-        row_i, row_j, column_j = rows[i], rows[j], column_of[j]
+        row_i, row_j = signs[i], signs[j]
         hits = []  # (n, c): v = terms[n] at t = s*c, paired with u = e_i + s*e_j
         for k in range(dim):
-            sign_ik, m = row_i[k]
-            l = column_j[m]
+            l = i ^ j ^ k
             if l <= k:
                 continue
-            sign_il, m_il = row_i[l]
-            sign_jk, m_jk = row_j[k]
-            sign_jl = row_j[l][0]
             # e_i e_k + st e_j e_l = 0 gives t = -s sign_ik sign_jl; then
             # t e_i e_l + s e_j e_k = 0 holds iff the four signs multiply to 1
-            if m_il == m_jk and sign_ik * sign_jl * sign_il * sign_jk == 1:
-                hits.append((2 * (offset[k] + l), -sign_ik * sign_jl))
+            if row_i[k] * row_j[l] * row_i[l] * row_j[k] == 1:
+                hits.append((2 * (offset[k] + l), -row_i[k] * row_j[l]))
         u = 2 * (offset[i] + j)
         for s in (1, -1):
             pairs.extend((terms[u + (s < 0)], terms[n + (s * c < 0)]) for n, c in hits)

@@ -95,7 +95,7 @@ def test_mul_matches_doubling_recursion_on_basis():
 
 def test_mul_matches_doubling_recursion_random():
     rng = random.Random(1)
-    for level in range(5):
+    for level in range(7):
         for _ in range(60):
             x = random_exact(level, rng)
             y = random_exact(level, rng)
@@ -346,12 +346,14 @@ def test_table_quaternions():
 
 
 def test_table_rows_are_signed_permutations():
-    # the zero-divisor scan's pruning relies on this at every level it scans
+    # e_i e_j = +/- e_(i xor j): the kernels, the batch layout and the
+    # zero-divisor scan compute every product index this way
     for level in range(7):
         t = build_table(level)
         for i in range(t.dim):
             row_targets = [t.entry(i, j)[1] for j in range(t.dim)]
             col_targets = [t.entry(j, i)[1] for j in range(t.dim)]
+            assert row_targets == [i ^ j for j in range(t.dim)]
             assert sorted(row_targets) == list(range(t.dim))
             assert sorted(col_targets) == list(range(t.dim))
 
@@ -430,6 +432,30 @@ def test_cd_json_roundtrip_exact():
     doc = cd_to_json(x)
     assert doc == {"level": 2, "coords": ["1/3", "-2", "0", "7/2"]}
     assert cd_from_json(json.loads(json.dumps(doc))) == x
+    for y in (CDNumber(0, (0.25,)), CDNumber(1, (-1.5, 1e300)), CDNumber(1, (10**40, 0))):
+        assert cd_from_json(json.loads(json.dumps(cd_to_json(y)))) == y
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"level": 2.9, "coords": ["1", "0", "0", "0"]},
+        {"level": True, "coords": [True, "0"]},
+        {"level": 1, "coords": [True, "0"]},
+        {"level": 2, "coords": "1234"},
+        {"level": "1", "coords": ["1", "0"]},
+        {"level": 1, "coords": [None, "0"]},
+        {"level": 1, "coords": ["1", "0", "0"]},
+        {"level": 10**9, "coords": []},
+        {"level": -1, "coords": []},
+        {"level": 1, "coords": ["1/0", "0"]},
+        {"level": 1},
+        [1, ["1", "0"]],
+    ],
+)
+def test_cd_from_json_rejects_malformed(doc):
+    with pytest.raises(ValueError):
+        cd_from_json(doc)
 
 
 def test_immutability():

@@ -242,7 +242,12 @@ def test_zero_divisors_level5_pinned():
 
 
 def test_zero_divisors_level6_sample():
+    # count and ordered-list digest pinned before the scan read only signs
     pairs = find_zero_divisors(6)
+    assert len(pairs) == 52080
+    assert _scan_digest([(u.coords, v.coords) for u, v in pairs]) == (
+        "d778b5e4134f396f6b62e3b3a1c49e54d94025315395e6ad2cbf370556718063"
+    )
     two_terms = set(_ref_two_terms(64))
     for u, v in random.Random(6).sample(pairs, 200):
         assert u.coords in two_terms and v.coords in two_terms
