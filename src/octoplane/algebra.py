@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -170,6 +171,7 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     return np.einsum("ni,nki,ki->nk", xs.take(used, axis=1), gathered, signs.take(used, axis=1))
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class CDNumber:
     """An element of the level-n Cayley-Dickson algebra.
 
@@ -177,9 +179,11 @@ class CDNumber:
     length 2^level.  Basis indexing follows the doubling order: the
     level-(n+1) pair (a, b) stores a's coordinates in the first half and
     b's in the second, so embeddings between levels preserve indices.
+    Equality and hashing compare (level, coords).
     """
 
-    __slots__ = ("level", "coords")
+    level: int
+    coords: tuple
 
     def __init__(self, level: int, coords: Iterable[Scalar]):
         coords = tuple(coords)
@@ -191,9 +195,6 @@ class CDNumber:
             )
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CDNumber is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -327,18 +328,6 @@ class CDNumber:
         self._require_same_level(other)
         return all(abs(a - b) <= tol for a, b in zip(self.coords, other.coords))
 
-    # -- dunder plumbing -------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, CDNumber):
-            return NotImplemented
-        return self.level == other.level and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.coords))
-
     def __repr__(self):
         terms = []
         for i, a in enumerate(self.coords):
@@ -372,6 +361,7 @@ def inner_product(x: CDNumber, y: CDNumber) -> Scalar:
     return (x.conj() * y).coords[0]
 
 
+@dataclass(frozen=True, slots=True)
 class MultiplicationTable:
     """Signed basis-product table for one level of the tower.
 
@@ -380,11 +370,8 @@ class MultiplicationTable:
     table describes multiplication completely; only the signs are stored.
     """
 
-    __slots__ = ("level", "_sign_rows")
-
-    def __init__(self, level: int, sign_rows: tuple[tuple[int, ...], ...]):
-        self.level = level
-        self._sign_rows = sign_rows
+    level: int
+    _sign_rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:

@@ -14,13 +14,16 @@ identified with the sphere S^d.
 
 Everything here runs in floating point over algebra dimension
 d in {1, 2, 4, 8} with explicit tolerances; d = 8 (octonions) is the
-default.  All values are immutable, all functions pure.
+default.  Every tolerance check is written so that NaN fails it, so
+non-finite coordinates fail every geometric check instead of slipping
+through.  All values are immutable, all functions pure.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +35,11 @@ DEFAULT_TOL = 1e-9
 SUPPORTED_DIMS = (1, 2, 4, 8)
 #: A functional coordinate below this cannot anchor a chart.
 ANCHOR_FLOOR = 1e-12
+#: ``separating_functional`` accepts a functional whose value on each
+#: point has a norm above this.
+SEPARATION_THRESHOLD = 1e-6
+#: Random functionals ``separating_functional`` tries after the sign grid.
+SEPARATION_ATTEMPTS = 200
 
 
 class MembershipError(ValueError):
@@ -56,11 +64,20 @@ def _as_float(x: CDNumber) -> CDNumber:
     return CDNumber(x.level, tuple(float(c) for c in x.coords))
 
 
-def _check_level(x: CDNumber) -> None:
-    if x.level > 3:
-        raise MembershipError(
-            f"projective construction needs level <= 3, got {x.level}"
-        )
+def _check_entries(entries: tuple[CDNumber, ...], tol: float) -> None:
+    """Entries share a level <= 3 and their squared norms sum to 1 within ``tol``.
+
+    A NaN or infinite coordinate makes the sum non-finite, and that fails."""
+    level = entries[0].level
+    total = 0
+    for e in entries:
+        if e.level != level:
+            raise LevelMismatchError("point entries must share a level")
+        total += e.norm_sq()
+    if level > 3:
+        raise MembershipError(f"projective construction needs level <= 3, got {level}")
+    if not abs(total - 1.0) <= tol:
+        raise MembershipError(f"norms sum to {total!r}, expected 1")
 
 
 def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber, tol: float) -> None:
@@ -76,33 +93,27 @@ def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber, tol: float) -> None:
     arguments vanish.
     """
     err = ((x * y) * z - x * (y * z)).max_abs()
-    if err > tol:
+    if not err <= tol:
         raise MembershipError(f"entries do not associate: associator magnitude {err:.3e}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TriplePoint:
     """A representative (x, y, z) of a projective-plane point.
 
     Entries share a level <= 3, their squared norms sum to 1 within
-    ``tol``, and their associator vanishes within ``tol``.
+    ``tol``, and their associator vanishes within ``tol``.  Equality is
+    identity: representatives are compared through ``equivalent``.
     """
 
-    __slots__ = ("x", "y", "z")
+    x: CDNumber
+    y: CDNumber
+    z: CDNumber
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __init__(self, x: CDNumber, y: CDNumber, z: CDNumber, tol: float = DEFAULT_TOL):
-        if not (x.level == y.level == z.level):
-            raise LevelMismatchError("triple entries must share a level")
-        _check_level(x)
-        total = x.norm_sq() + y.norm_sq() + z.norm_sq()
-        if abs(total - 1.0) > tol:
-            raise MembershipError(f"norms sum to {total!r}, expected 1")
-        _associator_span(x, y, z, tol)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TriplePoint is immutable")
+    def __post_init__(self, tol: float):
+        _check_entries((self.x, self.y, self.z), tol)
+        _associator_span(self.x, self.y, self.z, tol)
 
     @property
     def level(self) -> int:
@@ -115,23 +126,16 @@ class TriplePoint:
         return f"TriplePoint({self.x!r}, {self.y!r}, {self.z!r})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class LinePoint:
     """A representative (x, y) of a projective-line point; norms sum to 1."""
 
-    __slots__ = ("x", "y")
+    x: CDNumber
+    y: CDNumber
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __init__(self, x: CDNumber, y: CDNumber, tol: float = DEFAULT_TOL):
-        if x.level != y.level:
-            raise LevelMismatchError("pair entries must share a level")
-        _check_level(x)
-        total = x.norm_sq() + y.norm_sq()
-        if abs(total - 1.0) > tol:
-            raise MembershipError(f"norms sum to {total!r}, expected 1")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinePoint is immutable")
+    def __post_init__(self, tol: float):
+        _check_entries((self.x, self.y), tol)
 
     @property
     def level(self) -> int:
@@ -141,48 +145,59 @@ class LinePoint:
         return f"LinePoint({self.x!r}, {self.y!r})"
 
 
+def _drift(us: Sequence[CDNumber], vs: Sequence[CDNumber]) -> float:
+    """Largest coordinate gap between matching invariants."""
+    return max((a - b).max_abs() for a, b in zip(us, vs))
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class InvariantSextuple:
-    """The six products that pin down a projective-plane class."""
+    """The six products that pin down a projective-plane class.
 
-    __slots__ = ("xx", "xy", "xz", "yy", "yz", "zz")
+    The diagonal products must be real and sum to 1 within ``DEFAULT_TOL``."""
 
-    def __init__(self, xx, xy, xz, yy, yz, zz, tol: float = DEFAULT_TOL):
-        for name, diag in (("xx", xx), ("yy", yy), ("zz", zz)):
-            imag = max(abs(c) for c in diag.coords[1:]) if diag.level > 0 else 0.0
-            if imag > tol:
-                raise MembershipError(f"{name}* must be real, imaginary size {imag:.3e}")
-        trace = xx.coords[0] + yy.coords[0] + zz.coords[0]
-        if abs(trace - 1.0) > tol:
+    xx: CDNumber
+    xy: CDNumber
+    xz: CDNumber
+    yy: CDNumber
+    yz: CDNumber
+    zz: CDNumber
+
+    def __post_init__(self):
+        for name, diag in (("xx", self.xx), ("yy", self.yy), ("zz", self.zz)):
+            off = [abs(c) for c in diag.coords[1:] if not abs(c) <= DEFAULT_TOL]
+            if off:
+                raise MembershipError(f"{name}* must be real, imaginary size {max(off):.3e}")
+        trace = self.xx.coords[0] + self.yy.coords[0] + self.zz.coords[0]
+        if not abs(trace - 1.0) <= DEFAULT_TOL:
             raise MembershipError(f"diagonal trace is {trace!r}, expected 1")
-        for name, value in zip(self.__slots__, (xx, xy, xz, yy, yz, zz)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantSextuple is immutable")
 
     def as_tuple(self) -> tuple[CDNumber, ...]:
         return (self.xx, self.xy, self.xz, self.yy, self.yz, self.zz)
 
     def max_difference(self, other: "InvariantSextuple") -> float:
-        return max(
-            (a - b).max_abs() for a, b in zip(self.as_tuple(), other.as_tuple())
-        )
+        return _drift(self.as_tuple(), other.as_tuple())
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Functional:
-    """A real triple (a, b, c) defining the map (x, y, z) -> ax + by + cz."""
+    """A real triple (a, b, c) defining the map (x, y, z) -> ax + by + cz.
 
-    __slots__ = ("a", "b", "c")
+    Coefficients are stored as floats; they must be finite and not all zero.
+    """
 
-    def __init__(self, a: float, b: float, c: float):
-        if a == 0 and b == 0 and c == 0:
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self):
+        coeffs = tuple(map(float, (self.a, self.b, self.c)))
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"functional coefficients must be finite, got {coeffs}")
+        if not any(coeffs):
             raise ValueError("functional coefficients must not all vanish")
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "c", float(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Functional is immutable")
+        for name, value in zip(("a", "b", "c"), coeffs):
+            object.__setattr__(self, name, value)
 
     def coefficients(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
@@ -223,10 +238,7 @@ def line_invariants(p: LinePoint) -> tuple[CDNumber, CDNumber, CDNumber]:
 def line_equivalent(p: LinePoint, q: LinePoint, tol: float = DEFAULT_TOL) -> bool:
     if p.level != q.level:
         raise LevelMismatchError("points must share a level")
-    return all(
-        (a - b).max_abs() <= tol
-        for a, b in zip(line_invariants(p), line_invariants(q))
-    )
+    return _drift(line_invariants(p), line_invariants(q)) <= tol
 
 
 def eval_functional(f: Functional, p: TriplePoint) -> CDNumber:
@@ -264,9 +276,6 @@ def chart_backward(f: Functional, u: CDNumber, v: CDNumber) -> TriplePoint:
     unit norm.  The scale is positive even at u = v = 0, where the anchor
     entry is 1/c_m.
     """
-    if u.level != v.level:
-        raise LevelMismatchError("chart arguments must share a level")
-    _check_level(u)
     m = f.anchor()
     coeffs = f.coefficients()
     u = _as_float(u)
@@ -283,8 +292,9 @@ def chart_backward(f: Functional, u: CDNumber, v: CDNumber) -> TriplePoint:
     return TriplePoint(x, y, z)
 
 
+#: Sign-grid functionals ``separating_functional`` tries first, built once.
 _GRID = [
-    (a, b, c)
+    Functional(a, b, c)
     for a in (0.0, 1.0, -1.0)
     for b in (0.0, 1.0, -1.0)
     for c in (0.0, 1.0, -1.0)
@@ -292,17 +302,12 @@ _GRID = [
 ]
 
 
-def separating_functional(
-    p: TriplePoint,
-    q: TriplePoint,
-    threshold: float = 1e-6,
-    rng: Optional[random.Random] = None,
-    max_attempts: int = 200,
-) -> Functional:
+def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
     """A functional that vanishes on neither point.
 
     The vanishing sets are two planes in coefficient space, so a fixed
-    sign grid almost always works; random unit triples are the fallback.
+    sign grid almost always works; random unit triples drawn from a fixed
+    seed are the fallback, so the result is deterministic.
     """
 
     def score(f: Functional) -> float:
@@ -313,22 +318,21 @@ def separating_functional(
 
     best: Optional[Functional] = None
     best_score = 0.0
-    for a, b, c in _GRID:
-        f = Functional(a, b, c)
+    for f in _GRID:
         s = score(f)
         if s > best_score:
             best, best_score = f, s
-    if best is not None and best_score > threshold:
+    if best is not None and best_score > SEPARATION_THRESHOLD:
         return best
 
-    rng = rng if rng is not None else random.Random(0)
-    for _ in range(max_attempts):
+    rng = random.Random(0)
+    for _ in range(SEPARATION_ATTEMPTS):
         raw = [rng.gauss(0.0, 1.0) for _ in range(3)]
         norm = math.sqrt(sum(v * v for v in raw))
         if norm < 1e-12:
             continue
         f = Functional(*(v / norm for v in raw))
-        if score(f) > threshold:
+        if score(f) > SEPARATION_THRESHOLD:
             return f
     raise SeparationError("no separating functional found; inputs degenerate?")
 
@@ -358,7 +362,7 @@ def disk_extension(x: CDNumber, y: CDNumber, tol: float = DEFAULT_TOL) -> Triple
     if x.level != y.level:
         raise LevelMismatchError("disk coordinates must share a level")
     slack = 1.0 - x.norm_sq() - y.norm_sq()
-    if slack < -tol:
+    if not slack >= -tol:
         raise MembershipError(f"norms exceed 1 by {-slack:.3e}")
     z = CDNumber.from_scalar(math.sqrt(slack) if slack > tol else 0.0, x.level)
     return TriplePoint(_as_float(x), _as_float(y), z, tol=tol)
@@ -386,7 +390,7 @@ def sphere_to_line(s: np.ndarray, tol: float = DEFAULT_TOL) -> LinePoint:
     dim = s.shape[0] - 1
     level = level_for_dim(dim)
     norm = float(np.linalg.norm(s))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise MembershipError(f"sphere point has norm {norm!r}")
     w, t = s[:-1], float(s[-1])
     if t <= 0.0:

@@ -48,6 +48,8 @@ import numpy as np
 from .algebra import CDNumber, _signs, cd_to_json, mul_batch
 
 MAX_CHECK_LEVEL = 6
+#: ``random_exact`` draws integer coordinates from [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN].
+RANDOM_EXACT_SPAN = 9
 
 #: Verdicts the tower is known to produce, by property name and level.
 EXPECTED_HOLDS: dict[str, Callable[[int], bool]] = {
@@ -94,8 +96,9 @@ class PropertyReport:
         }
 
 
-def random_exact(level: int, rng: random.Random, span: int = 9) -> CDNumber:
-    """Random element with integer coordinates in [-span, span]."""
+def random_exact(level: int, rng: random.Random) -> CDNumber:
+    """Random element with integer coordinates in [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN]."""
+    span = RANDOM_EXACT_SPAN
     return CDNumber(level, tuple(rng.randint(-span, span) for _ in range(1 << level)))
 
 

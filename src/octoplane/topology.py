@@ -448,6 +448,9 @@ def cohomology_profile(
 
 # -- Hopf-invariant proxies ---------------------------------------------------
 
+#: ``multiplication_bidegree`` needs every |det| within this of 1.
+BIDEGREE_DET_TOL = 1e-6
+
 
 def left_mult_matrix(b: CDNumber) -> np.ndarray:
     """Matrix of x -> b x in the coordinate basis."""
@@ -463,9 +466,7 @@ def right_mult_matrix(a: CDNumber) -> np.ndarray:
     return np.array(cols, dtype=float).T
 
 
-def multiplication_bidegree(
-    level: int, samples: int, seed: int = 0, det_tol: float = 1e-6
-) -> tuple[int, int]:
+def multiplication_bidegree(level: int, samples: int, seed: int = 0) -> tuple[int, int]:
     """Signs of det(left mult) and det(right mult) by unit elements.
 
     For a multiplication with multiplicative norm these operators are
@@ -487,9 +488,9 @@ def multiplication_bidegree(
             (right_signs, right_mult_matrix(random_unit(level, rng))),
         ):
             det = float(np.linalg.det(mat))
-            if abs(abs(det) - 1.0) > det_tol:
+            if not abs(abs(det) - 1.0) <= BIDEGREE_DET_TOL:
                 raise InconsistencyError(
-                    f"|det| = {abs(det)!r} off unit by more than {det_tol}"
+                    f"|det| = {abs(det)!r} off unit by more than {BIDEGREE_DET_TOL}"
                 )
             signs.add(1 if det > 0 else -1)
     if len(left_signs) != 1 or len(right_signs) != 1:

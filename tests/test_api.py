@@ -1,6 +1,19 @@
 import types
 
+import pytest
+
 import octoplane
+from octoplane import (
+    AbelianGroup,
+    CDNumber,
+    CoefficientSpec,
+    Functional,
+    LinePoint,
+    PropertyReport,
+    TriplePoint,
+    build_table,
+    invariants_of,
+)
 
 # The package's public names; a change that renames or drops one breaks callers.
 PUBLIC_NAMES = [
@@ -28,3 +41,50 @@ def test_public_names_are_unchanged():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+ONE, ZERO = CDNumber.one(2), CDNumber.zero(2)
+POINT = TriplePoint(ONE, ZERO, ZERO)
+
+# (value, one of its fields, slotted): every value type is immutable.
+VALUES = [
+    (CDNumber(1, (1, 0)), "coords", True),
+    (build_table(2), "level", True),
+    (POINT, "x", True),
+    (LinePoint(ONE, ZERO), "y", True),
+    (invariants_of(POINT), "xy", True),
+    (Functional(0, 0, 1), "c", True),
+    (PropertyReport("commutative", 1, "holds", None, 0), "verdict", False),
+    (AbelianGroup(1), "rank", False),
+    (CoefficientSpec("Zmod", 3), "modulus", False),
+]
+
+
+@pytest.mark.parametrize(
+    "value, field, slotted", VALUES, ids=[type(v[0]).__name__ for v in VALUES]
+)
+def test_value_types_are_immutable(value, field, slotted):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, object())
+    assert getattr(value, field) is before
+    if slotted:
+        assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        (CDNumber(1, (1, 0)), CDNumber(1, (1.0, 0.0)), True),
+        (CDNumber(1, [1, 0]), CDNumber(1, (1, 0)), True),
+        (CDNumber(1, (1, 0)), CDNumber(1, (1, 0)).embed(2), False),
+        (CDNumber(0, (5,)), 5, False),
+        (POINT, TriplePoint(ONE, ZERO, ZERO), False),
+    ],
+)
+def test_value_equality(a, b, equal):
+    assert (a == b) is equal
+    if equal:
+        assert hash(a) == hash(b)
+    if isinstance(a, CDNumber):
+        assert type(a.coords) is tuple

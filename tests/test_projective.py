@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from octoplane import projective
 from octoplane.algebra import CDNumber, basis_element
 from octoplane.projective import (
     Functional,
+    InvariantSextuple,
     LinePoint,
     MembershipError,
     OutsideChartError,
@@ -150,6 +152,55 @@ def test_functional_validation():
     assert Functional(3, -5, 1).anchor() == 1
     with pytest.raises(OutsideChartError):
         Functional(1e-13, 0, 1e-14).anchor()
+
+
+NAN_AXIS = CDNumber(1, (math.nan, 0.0))
+ZERO_1 = CDNumber.zero(1)
+ONE_1 = CDNumber.one(1)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: TriplePoint(NAN_AXIS, ZERO_1, ZERO_1), MembershipError, id="triple-x"),
+        pytest.param(lambda: TriplePoint(ONE_1, NAN_AXIS, ZERO_1), MembershipError, id="triple-y"),
+        pytest.param(lambda: LinePoint(NAN_AXIS, ZERO_1), MembershipError, id="line-nan"),
+        pytest.param(
+            lambda: LinePoint(ZERO_1, CDNumber(1, (0.0, math.inf))), MembershipError, id="line-inf"
+        ),
+        pytest.param(
+            lambda: chart_backward(Functional(0, 0, 1), CDNumber(1, (math.inf, 0.0)), ZERO_1),
+            MembershipError,
+            id="chart-backward",
+        ),
+        pytest.param(
+            lambda: sphere_to_line(np.array([math.nan] * 3)), MembershipError, id="sphere-to-line"
+        ),
+        pytest.param(lambda: disk_extension(NAN_AXIS, ZERO_1), MembershipError, id="disk"),
+        pytest.param(
+            lambda: projective._associator_span(NAN_AXIS, ONE_1, ONE_1, TOL),
+            MembershipError,
+            id="associator",
+        ),
+        pytest.param(
+            lambda: InvariantSextuple(
+                CDNumber(1, (1.0, math.nan)), ZERO_1, ZERO_1, ZERO_1, ZERO_1, ZERO_1
+            ),
+            MembershipError,
+            id="sextuple-imaginary",
+        ),
+        pytest.param(
+            lambda: InvariantSextuple(NAN_AXIS, ZERO_1, ZERO_1, ZERO_1, ZERO_1, ZERO_1),
+            MembershipError,
+            id="sextuple-trace",
+        ),
+        pytest.param(lambda: Functional(math.nan, 0, 0), ValueError, id="functional-nan"),
+        pytest.param(lambda: Functional(1, -math.inf, 0), ValueError, id="functional-inf"),
+    ],
+)
+def test_non_finite_inputs_fail_every_check(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_eval_functional_examples():
