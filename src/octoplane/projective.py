@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,18 +102,19 @@ class TriplePoint:
     """A representative (x, y, z) of a projective-plane point.
 
     Entries share a level <= 3, their squared norms sum to 1 within
-    ``tol``, and their associator vanishes within ``tol``.  Equality is
-    identity: representatives are compared through ``equivalent``.
+    ``tol``, and their associator vanishes within ``tol``; ``tol`` is kept
+    as the tolerance the point was checked with.  Equality is identity:
+    representatives are compared through ``equivalent``.
     """
 
     x: CDNumber
     y: CDNumber
     z: CDNumber
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
 
-    def __post_init__(self, tol: float):
-        _check_entries((self.x, self.y, self.z), tol)
-        _associator_span(self.x, self.y, self.z, tol)
+    def __post_init__(self):
+        _check_entries((self.x, self.y, self.z), self.tol)
+        _associator_span(self.x, self.y, self.z, self.tol)
 
     @property
     def level(self) -> int:
@@ -128,14 +129,15 @@ class TriplePoint:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class LinePoint:
-    """A representative (x, y) of a projective-line point; norms sum to 1."""
+    """A representative (x, y) of a projective-line point; norms sum to 1
+    within ``tol``, the tolerance kept with the point."""
 
     x: CDNumber
     y: CDNumber
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
 
-    def __post_init__(self, tol: float):
-        _check_entries((self.x, self.y), tol)
+    def __post_init__(self):
+        _check_entries((self.x, self.y), self.tol)
 
     @property
     def level(self) -> int:

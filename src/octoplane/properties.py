@@ -29,9 +29,10 @@ output relies on it.
 
 The two-generated check is no identity on a fixed number of elements,
 so it has its own short loop: the first 512 two-term pairs at level 4,
-then seeded random pairs, each judged by closing the pair under products
-and testing associators on a spanning subset.  It shares the sweep's
-argument check and random draws.
+then seeded random pairs.  Each pair is closed exactly under products,
+as a basis of the subalgebra it generates, and the associator is tested
+on every triple of basis elements.  It shares the sweep's argument check
+and random draws.
 """
 
 from __future__ import annotations
@@ -391,41 +392,6 @@ def check_division(level: int) -> PropertyReport:
     return PropertyReport("division", level, "holds", None, scanned)
 
 
-def _word_closure(x: CDNumber, y: CDNumber, max_len: int) -> list[CDNumber]:
-    """Distinct products of words in {x, y, x*, y*} up to ``max_len`` letters,
-    under every parenthesization, in order of first appearance.
-
-    Layer n is formed from the products a*b with a from layer m and b
-    from layer n - m, for m = 1 .. n-1 in turn, and keeps only the words
-    not seen before, in order of first appearance.  A word seen before
-    forms no new products: its first occurrence, earlier in the same
-    layer or in a shorter one, formed each of them earlier.  So the
-    returned list is the one that keeping every repeat would give, from
-    far fewer products.
-
-    The coordinates must be integers.  Each layer's products are formed as
-    one batch (``mul_batch``), in the order above, and its repeats are
-    dropped in that order, by coordinate tuple.
-    """
-    level = x.level
-    words = dict.fromkeys(w.coords for w in (x, y, x.conj(), y.conj()))  # an ordered set
-    by_len = [None, np.array(list(words))]  # by_len[n]: the new words of n letters
-    for n in range(2, max_len + 1):
-        splits = [(by_len[m], by_len[n - m]) for m in range(1, n)]
-        products = mul_batch(
-            level,
-            np.concatenate([a.repeat(len(b), axis=0) for a, b in splits]),
-            np.concatenate([b[np.arange(len(a) * len(b)) % len(b)] for a, b in splits]),
-        )
-        fresh = []
-        for p, w in enumerate(map(tuple, products.tolist())):
-            if w not in words:
-                words[w] = None
-                fresh.append(p)
-        by_len.append(products[fresh])
-    return [CDNumber(level, w) for w in words]
-
-
 def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
     """Subset of the input spanning the same linear space, by exact elimination.
 
@@ -451,20 +417,38 @@ def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
     return basis
 
 
-def check_two_generated_associativity(
-    level: int, samples: int, seed: int = 0, word_length: int = 4
-) -> PropertyReport:
+def _subalgebra_basis(x: CDNumber, y: CDNumber) -> list[CDNumber]:
+    """A basis of the subalgebra that x, y, x* and y* generate, exactly.
+
+    Starts from a spanning subset of {x, y, x*, y*}; each round forms every
+    ordered product of two basis elements, first factor major, as one batch
+    (``mul_batch``) and keeps the products that raise the span.  The span
+    of the basis is closed under products once a round keeps none, and
+    every other round adds a dimension, so there are at most 2^level
+    rounds.  Coordinates must be integers.
+    """
+    level = x.level
+    basis, size = _greedy_span_basis([x, y, x.conj(), y.conj()]), 0
+    while size < len(basis):
+        size = len(basis)
+        rows = np.array([b.coords for b in basis], dtype=object)
+        products = mul_batch(level, rows.repeat(size, axis=0), np.tile(rows, (size, 1)))
+        basis = _greedy_span_basis(basis + [CDNumber(level, p) for p in products.tolist()])
+    return basis
+
+
+def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """Do x and y always generate an associative subalgebra?
 
-    Words in {x, y, x*, y*} up to ``word_length`` letters are formed under
-    all parenthesizations and all associators among them must vanish
-    exactly.  True through the octonions, false for sedenions.  There is
-    no basis phase; at level 4 the first 512 ordered two-term pairs come
-    before the random pairs, and the first violations sit early among them.
-    The counterexample is the first non-associating triple of words.
+    Each candidate pair is closed exactly: ``_subalgebra_basis`` spans the
+    whole subalgebra that x and y generate (x* and y* lie in it), and the
+    associator is trilinear, so the subalgebra is associative iff every
+    triple of basis elements associates.  True through the octonions, by
+    Artin's theorem; false for sedenions.  There is no basis phase; at
+    level 4 the first 512 ordered two-term pairs come before the random
+    pairs, and the first violations sit early among them.  The
+    counterexample is the first non-associating triple of basis elements.
     """
-    if word_length < 2:
-        raise ValueError("word_length must be at least 2")
     _check_arguments(level, samples, 4)
     candidates = _random_tuples(level, samples, seed, 2)
     if level >= 4:
@@ -474,10 +458,7 @@ def check_two_generated_associativity(
         )
     name = "two_generated_associative"
     for tested, (x, y) in enumerate(candidates, 1):
-        # the associator is trilinear, so it vanishes on all word triples iff
-        # it vanishes on triples from a spanning subset of the words
-        basis = _greedy_span_basis(_word_closure(x, y, word_length))
-        for triple in itertools.product(basis, repeat=3):
+        for triple in itertools.product(_subalgebra_basis(x, y), repeat=3):
             if _nonassociating(*triple):
                 return PropertyReport(name, level, "fails", triple, tested)
     return PropertyReport(name, level, "holds", None, tested)

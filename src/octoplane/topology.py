@@ -516,17 +516,17 @@ def gauss_linking_number(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
 
 
 def fiber_circle(point: LinePoint, segments: int) -> np.ndarray:
-    """Points (x u, y u) in R^4 for unit complex u; the fiber over [x, y]."""
+    """Points (x u, y u) in R^4 for unit complex u; the fiber over [x, y].
+
+    u runs over ``segments`` equally spaced angles, and each complex product
+    (a, b)(c, d) = (ac - bd, ad + bc) is taken at all of them at once.
+    """
     if point.level != 1:
         raise ValueError("fiber circles are built at the complex level")
-    out = np.empty((segments, 4))
-    for k in range(segments):
-        theta = 2.0 * math.pi * k / segments
-        u = CDNumber(1, (math.cos(theta), math.sin(theta)))
-        xu = point.x * u
-        yu = point.y * u
-        out[k] = (*xu.coords, *yu.coords)
-    return out
+    theta = 2.0 * math.pi * np.arange(segments) / segments
+    c, d = np.cos(theta), np.sin(theta)
+    (xa, xb), (ya, yb) = point.x.coords, point.y.coords
+    return np.column_stack([xa * c - xb * d, xa * d + xb * c, ya * c - yb * d, ya * d + yb * c])
 
 
 def _projection_frame(pole: np.ndarray) -> np.ndarray:

@@ -134,18 +134,16 @@ def ref_span_subset(vectors):
     return kept
 
 
-def ref_word_closure(x, y, max_len):
-    """Distinct products of words in {x, y, x*, y*} up to max_len letters,
-    in order of first appearance; layer n holds a*b for a in layer m and
-    b in layer n - m, m = 1 .. n-1, with every repeat kept."""
-    layers = [[], [x, y, ref_conj(x), ref_conj(y)]]
-    for n in range(2, max_len + 1):
-        layers.append(
-            [ref_mul(a, b) for m in range(1, n) for a in layers[m] for b in layers[n - m]]
-        )
-    out = []
-    for layer in layers:
-        for w in layer:
-            if w not in out:
-                out.append(w)
-    return out
+def ref_subalgebra_basis(x, y):
+    """A basis of the subalgebra x, y, x* and y* generate, from a worklist:
+    an element that raises the rank is kept, and its products with itself
+    and, on both sides, with every element kept before it join the list."""
+    basis = []
+    work = [x, y, ref_conj(x), ref_conj(y)]
+    while work and len(basis) < len(x):  # the whole algebra is closed
+        w = work.pop(0)
+        if ref_rank(basis + [w]) > len(basis):
+            work += [ref_mul(w, b) for b in basis] + [ref_mul(b, w) for b in basis]
+            work.append(ref_mul(w, w))
+            basis.append(w)
+    return basis

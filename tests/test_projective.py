@@ -86,6 +86,15 @@ def test_line_point_norm_check():
         LinePoint(CDNumber.one(3), CDNumber.one(3))
 
 
+def test_points_report_the_tolerance_they_were_checked_with():
+    one, zero = CDNumber.one(3), CDNumber.zero(3)
+    near = CDNumber(3, (1.0002,) + (0.0,) * 7)  # norm 1 within 1e-3, not within 1e-9
+    assert TriplePoint(near, zero, zero, tol=1e-3).tol == 1e-3
+    assert LinePoint(near, zero, tol=1e-2).tol == 1e-2
+    assert TriplePoint(one, zero, zero).tol == LinePoint(one, zero).tol == 1e-9
+    assert repr(LinePoint(one, zero, tol=1e-2)) == f"LinePoint({one!r}, {zero!r})"
+
+
 # -- invariants and equivalence -------------------------------------------------
 
 

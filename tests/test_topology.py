@@ -402,6 +402,17 @@ def test_fiber_circle_lies_on_three_sphere():
     assert np.allclose(np.linalg.norm(circle, axis=1), 1.0, atol=1e-12)
 
 
+def test_fiber_circle_matches_scalar_products():
+    rng = np.random.default_rng(11)
+    for segments in (64, 100, 256):
+        v = rng.normal(size=3)
+        point = sphere_to_line(v / np.linalg.norm(v))
+        theta = 2.0 * np.pi * np.arange(segments) / segments
+        units = [CDNumber(1, u) for u in zip(np.cos(theta).tolist(), np.sin(theta).tolist())]
+        expected = [(*(point.x * u).coords, *(point.y * u).coords) for u in units]
+        assert np.array_equal(fiber_circle(point, segments), np.array(expected))
+
+
 def test_linking_hopf_invariant_stable():
     values = {
         segments: linking_hopf_invariant(samples=10, segments=segments, seed=4)
