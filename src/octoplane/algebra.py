@@ -118,23 +118,33 @@ def _gather_layout(level: int) -> tuple[np.ndarray, np.ndarray]:
     return columns, gathered_signs
 
 
-_as_python_int = np.frompyfunc(operator.index, 1, 1)
+def _max_abs(rows: np.ndarray) -> int:
+    return max(int(rows.max()), -int(rows.min())) if rows.size else 0
+
+
+def _python_int(c) -> int:
+    """``c`` as an int; a bool, float or Fraction raises TypeError."""
+    if isinstance(c, bool):
+        raise TypeError("batched products take integer coordinates, got a bool")
+    return operator.index(c)
+
+
+_as_python_ints = np.frompyfunc(_python_int, 1, 1)
 
 
 def _integer_rows(rows, dim: int) -> np.ndarray:
-    """``rows`` as an (N, dim) integer array, refusing anything not an integer."""
-    rows = np.asarray(rows)
+    """``rows`` as an (N, dim) integer array, refusing anything not an integer.
+
+    A list or non-integer array is read entry by entry as Python ints (numpy
+    infers float64 for a list holding one >= 2^63), then held in int64 if all fit."""
+    integer = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
+    rows = rows if integer else np.asarray(rows, dtype=object)
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise ValueError(f"expected an (N, {dim}) array, got shape {rows.shape}")
-    if rows.dtype.kind in "iu":
+    if integer:
         return rows
-    if rows.dtype.kind == "O":
-        return _as_python_int(rows)  # TypeError on Fraction or float entries
-    raise TypeError(f"batched products take integer coordinates, got {rows.dtype}")
-
-
-def _max_abs(rows: np.ndarray) -> int:
-    return max(int(rows.max()), -int(rows.min())) if rows.size else 0
+    rows = _as_python_ints(rows)
+    return rows.astype(np.int64) if _max_abs(rows) < 1 << 63 else rows
 
 
 def mul_batch(level: int, xs, ys) -> np.ndarray:
@@ -322,11 +332,6 @@ class CDNumber:
 
     def max_abs(self) -> float:
         return max(abs(a) for a in self.coords)
-
-    def isclose(self, other: "CDNumber", tol: float = 1e-9) -> bool:
-        """Tolerance comparison; the only sanctioned way to compare floats."""
-        self._require_same_level(other)
-        return all(abs(a - b) <= tol for a, b in zip(self.coords, other.coords))
 
     def __repr__(self):
         terms = []

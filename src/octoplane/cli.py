@@ -114,6 +114,21 @@ def _coordinate_functionals() -> list[projective.Functional]:
     ]
 
 
+def _report_sampled(args: argparse.Namespace, max_error: float, text: str, ok: bool = True) -> int:
+    """Emit a sampled float check, which passes when ``ok`` and ``max_error``
+    is below ``--tol``; ``text`` opens its text line."""
+    verdict = "pass" if (max_error < args.tol and ok) else "fail"
+    payload = {
+        "level": args.level,
+        "samples": args.samples,
+        "seed": args.seed,
+        "max_error": max_error,
+        "verdict": verdict,
+    }
+    _emit(args, payload, [f"{text} (seed {args.seed}): {verdict}"])
+    return 0 if verdict == "pass" else 1
+
+
 def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
     dim = args.level
     level = projective.level_for_dim(dim)
@@ -129,23 +144,12 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
             q = projective.equivalent_representative(p, rng)
             u3, v3 = projective.chart_forward(f, q)
             max_error = max(max_error, (u3 - u2).max_abs(), (v3 - v2).max_abs())
-    verdict = "pass" if max_error < args.tol else "fail"
-    payload = {
-        "level": dim,
-        "samples": args.samples,
-        "seed": args.seed,
-        "max_error": max_error,
-        "verdict": verdict,
-    }
-    _emit(
+    return _report_sampled(
         args,
-        payload,
-        [
-            f"chart round trips, dimension {dim}: max error {max_error:.3e} "
-            f"over {args.samples} samples x 3 functionals (seed {args.seed}): {verdict}"
-        ],
+        max_error,
+        f"chart round trips, dimension {dim}: max error {max_error:.3e} "
+        f"over {args.samples} samples x 3 functionals",
     )
-    return 0 if verdict == "pass" else 1
 
 
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
@@ -168,23 +172,13 @@ def _cmd_equiv_check(args: argparse.Namespace) -> int:
             projective.separating_functional(p, other)
         except projective.SeparationError:
             separated = False
-    verdict = "pass" if (max_error < args.tol and separated) else "fail"
-    payload = {
-        "level": dim,
-        "samples": args.samples,
-        "seed": args.seed,
-        "max_error": max_error,
-        "verdict": verdict,
-    }
-    _emit(
+    return _report_sampled(
         args,
-        payload,
-        [
-            f"equivalence invariance, dimension {dim}: max drift {max_error:.3e} "
-            f"over {args.samples} samples (seed {args.seed}): {verdict}"
-        ],
+        max_error,
+        f"equivalence invariance, dimension {dim}: max drift {max_error:.3e} "
+        f"over {args.samples} samples",
+        separated,
     )
-    return 0 if verdict == "pass" else 1
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:

@@ -13,8 +13,10 @@ elements, and the one-dimensional analogue (pairs instead of triples) is
 identified with the sphere S^d.
 
 Everything here runs in floating point over algebra dimension
-d in {1, 2, 4, 8} with explicit tolerances; d = 8 (octonions) is the
-default.  Every tolerance check is written so that NaN fails it, so
+d in {1, 2, 4, 8}; d = 8 (octonions) is the default.  Every geometric
+check uses the one absolute tolerance ``DEFAULT_TOL`` = 1e-9; the only
+other is the 1e-7 at which ``sphere_to_line`` checks the point it
+builds.  Every tolerance check is written so that NaN fails it, so
 non-finite coordinates fail every geometric check instead of slipping
 through.  All values are immutable, all functions pure.
 """
@@ -31,6 +33,8 @@ import numpy as np
 from .algebra import CDNumber, LevelMismatchError
 
 DEFAULT_TOL = 1e-9
+#: ``sphere_to_line`` checks its points at this: their norm error is as large as the input's.
+_SPHERE_TO_LINE_TOL = 1e-7
 #: Algebra dimensions the plane construction supports.
 SUPPORTED_DIMS = (1, 2, 4, 8)
 #: A functional coordinate below this cannot anchor a chart.
@@ -65,9 +69,12 @@ def _as_float(x: CDNumber) -> CDNumber:
 
 
 def _check_entries(entries: tuple[CDNumber, ...], tol: float) -> None:
-    """Entries share a level <= 3 and their squared norms sum to 1 within ``tol``.
+    """Entries share a level <= 3 and their squared norms sum to 1 within
+    ``tol``, which must be finite and positive.
 
     A NaN or infinite coordinate makes the sum non-finite, and that fails."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     level = entries[0].level
     total = 0
     for e in entries:
@@ -80,8 +87,8 @@ def _check_entries(entries: tuple[CDNumber, ...], tol: float) -> None:
         raise MembershipError(f"norms sum to {total!r}, expected 1")
 
 
-def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber, tol: float) -> None:
-    """Require the associator (xy)z - x(yz) to vanish within ``tol``.
+def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber) -> None:
+    """Require the associator (xy)z - x(yz) to vanish within ``DEFAULT_TOL``.
 
     This is the finite proxy for 'the subalgebra generated by the entries
     is associative': necessary always, and exact for triples produced by
@@ -93,7 +100,7 @@ def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber, tol: float) -> None:
     arguments vanish.
     """
     err = ((x * y) * z - x * (y * z)).max_abs()
-    if not err <= tol:
+    if not err <= DEFAULT_TOL:
         raise MembershipError(f"entries do not associate: associator magnitude {err:.3e}")
 
 
@@ -102,19 +109,17 @@ class TriplePoint:
     """A representative (x, y, z) of a projective-plane point.
 
     Entries share a level <= 3, their squared norms sum to 1 within
-    ``tol``, and their associator vanishes within ``tol``; ``tol`` is kept
-    as the tolerance the point was checked with.  Equality is identity:
-    representatives are compared through ``equivalent``.
+    ``DEFAULT_TOL``, and their associator vanishes within it.  Equality is
+    identity: representatives are compared through ``equivalent``.
     """
 
     x: CDNumber
     y: CDNumber
     z: CDNumber
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        _check_entries((self.x, self.y, self.z), self.tol)
-        _associator_span(self.x, self.y, self.z, self.tol)
+        _check_entries((self.x, self.y, self.z), DEFAULT_TOL)
+        _associator_span(self.x, self.y, self.z)
 
     @property
     def level(self) -> int:
@@ -130,7 +135,7 @@ class TriplePoint:
 @dataclass(frozen=True, slots=True, eq=False)
 class LinePoint:
     """A representative (x, y) of a projective-line point; norms sum to 1
-    within ``tol``, the tolerance kept with the point."""
+    within ``tol``, kept with the point (1e-7 from ``sphere_to_line``)."""
 
     x: CDNumber
     y: CDNumber
@@ -225,11 +230,11 @@ def invariants_of(p: TriplePoint) -> InvariantSextuple:
     return InvariantSextuple(x * xc, x * yc, x * zc, y * yc, y * zc, z * zc)
 
 
-def equivalent(p: TriplePoint, q: TriplePoint, tol: float = DEFAULT_TOL) -> bool:
+def equivalent(p: TriplePoint, q: TriplePoint) -> bool:
     """Do two representatives name the same projective point?"""
     if p.level != q.level:
         raise LevelMismatchError("points must share a level")
-    return invariants_of(p).max_difference(invariants_of(q)) <= tol
+    return invariants_of(p).max_difference(invariants_of(q)) <= DEFAULT_TOL
 
 
 def line_invariants(p: LinePoint) -> tuple[CDNumber, CDNumber, CDNumber]:
@@ -237,10 +242,10 @@ def line_invariants(p: LinePoint) -> tuple[CDNumber, CDNumber, CDNumber]:
     return (x * x.conj(), x * y.conj(), y * y.conj())
 
 
-def line_equivalent(p: LinePoint, q: LinePoint, tol: float = DEFAULT_TOL) -> bool:
+def line_equivalent(p: LinePoint, q: LinePoint) -> bool:
     if p.level != q.level:
         raise LevelMismatchError("points must share a level")
-    return _drift(line_invariants(p), line_invariants(q)) <= tol
+    return _drift(line_invariants(p), line_invariants(q)) <= DEFAULT_TOL
 
 
 def eval_functional(f: Functional, p: TriplePoint) -> CDNumber:
@@ -248,13 +253,11 @@ def eval_functional(f: Functional, p: TriplePoint) -> CDNumber:
     return p.x * f.a + p.y * f.b + p.z * f.c
 
 
-def in_chart_domain(f: Functional, p: TriplePoint, tol: float = DEFAULT_TOL) -> bool:
-    return math.sqrt(eval_functional(f, p).norm_sq()) > tol
+def in_chart_domain(f: Functional, p: TriplePoint) -> bool:
+    return math.sqrt(eval_functional(f, p).norm_sq()) > DEFAULT_TOL
 
 
-def chart_forward(
-    f: Functional, p: TriplePoint, tol: float = DEFAULT_TOL
-) -> tuple[CDNumber, CDNumber]:
+def chart_forward(f: Functional, p: TriplePoint) -> tuple[CDNumber, CDNumber]:
     """Chart map: the two non-anchor entries times conj(l)/|l|^2.
 
     Well-defined on classes because every factor is built from the six
@@ -263,7 +266,7 @@ def chart_forward(
     m = f.anchor()
     ell = eval_functional(f, p)
     ns = ell.norm_sq()
-    if math.sqrt(ns) <= tol:
+    if math.sqrt(ns) <= DEFAULT_TOL:
         raise OutsideChartError("class lies outside this chart's domain")
     factor = ell.conj() / ns
     others = [e for i, e in enumerate(p.entries()) if i != m]
@@ -348,26 +351,26 @@ def line_include(p: LinePoint) -> TriplePoint:
     return TriplePoint(p.x, p.y, zero)
 
 
-def attaching_map(x: CDNumber, y: CDNumber, tol: float = DEFAULT_TOL) -> LinePoint:
+def attaching_map(x: CDNumber, y: CDNumber) -> LinePoint:
     """The sphere S^(2d-1) onto the projective line, (x, y) -> [x, y]."""
-    return LinePoint(x, y, tol=tol)
+    return LinePoint(x, y)
 
 
-def disk_extension(x: CDNumber, y: CDNumber, tol: float = DEFAULT_TOL) -> TriplePoint:
+def disk_extension(x: CDNumber, y: CDNumber) -> TriplePoint:
     """(x, y) in the unit disk to [x, y, sqrt(1 - |x|^2 - |y|^2)].
 
     Extends ``attaching_map`` over the disk.  The square root is not
-    Lipschitz at the boundary, so the tol-wide band at |x|^2 + |y|^2 = 1
+    Lipschitz at the boundary, so the DEFAULT_TOL band at |x|^2 + |y|^2 = 1
     is collapsed to the boundary itself; there the third entry is exactly
     zero and the image coincides with the included line point.
     """
     if x.level != y.level:
         raise LevelMismatchError("disk coordinates must share a level")
     slack = 1.0 - x.norm_sq() - y.norm_sq()
-    if not slack >= -tol:
+    if not slack >= -DEFAULT_TOL:
         raise MembershipError(f"norms exceed 1 by {-slack:.3e}")
-    z = CDNumber.from_scalar(math.sqrt(slack) if slack > tol else 0.0, x.level)
-    return TriplePoint(_as_float(x), _as_float(y), z, tol=tol)
+    z = CDNumber.from_scalar(math.sqrt(slack) if slack > DEFAULT_TOL else 0.0, x.level)
+    return TriplePoint(_as_float(x), _as_float(y), z)
 
 
 def line_to_sphere(p: LinePoint) -> np.ndarray:
@@ -381,7 +384,7 @@ def line_to_sphere(p: LinePoint) -> np.ndarray:
     return np.array([float(c) for c in w.coords] + [float(t)])
 
 
-def sphere_to_line(s: np.ndarray, tol: float = DEFAULT_TOL) -> LinePoint:
+def sphere_to_line(s: np.ndarray) -> LinePoint:
     """Inverse of ``line_to_sphere`` up to equivalence.
 
     Splits s = (w, t); whichever of 1 -/+ t is larger gives a stable real
@@ -392,7 +395,7 @@ def sphere_to_line(s: np.ndarray, tol: float = DEFAULT_TOL) -> LinePoint:
     dim = s.shape[0] - 1
     level = level_for_dim(dim)
     norm = float(np.linalg.norm(s))
-    if not abs(norm - 1.0) <= tol:
+    if not abs(norm - 1.0) <= DEFAULT_TOL:
         raise MembershipError(f"sphere point has norm {norm!r}")
     w, t = s[:-1], float(s[-1])
     if t <= 0.0:
@@ -403,7 +406,7 @@ def sphere_to_line(s: np.ndarray, tol: float = DEFAULT_TOL) -> LinePoint:
         rx = math.sqrt((1.0 + t) / 2.0)
         x = CDNumber.from_scalar(rx, level)
         y = CDNumber(level, tuple(float(c) / (2.0 * rx) for c in w)).conj()
-    return LinePoint(x, y, tol=max(tol, 1e-7))
+    return LinePoint(x, y, tol=_SPHERE_TO_LINE_TOL)
 
 
 # -- seeded sampling helpers ----------------------------------------------

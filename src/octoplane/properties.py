@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _signs, cd_to_json, mul_batch
+from .algebra import CDNumber, _integer_rows, _signs, cd_to_json, mul_batch
 
 MAX_CHECK_LEVEL = 6
 #: ``random_exact`` draws integer coordinates from [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN].
@@ -431,7 +431,7 @@ def _subalgebra_basis(x: CDNumber, y: CDNumber) -> list[CDNumber]:
     basis, size = _greedy_span_basis([x, y, x.conj(), y.conj()]), 0
     while size < len(basis):
         size = len(basis)
-        rows = np.array([b.coords for b in basis], dtype=object)
+        rows = _integer_rows([b.coords for b in basis], 1 << level)
         products = mul_batch(level, rows.repeat(size, axis=0), np.tile(rows, (size, 1)))
         basis = _greedy_span_basis(basis + [CDNumber(level, p) for p in products.tolist()])
     return basis

@@ -262,9 +262,6 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-TRIVIAL_GROUP = AbelianGroup(0)
-
-
 # -- coefficients -----------------------------------------------------------
 
 
@@ -530,14 +527,13 @@ def fiber_circle(point: LinePoint, segments: int) -> np.ndarray:
 
 
 def _projection_frame(pole: np.ndarray) -> np.ndarray:
-    """Rotation in SO(4) sending ``pole`` to (0, 0, 0, 1)."""
-    stacked = np.column_stack([pole, np.eye(4)])
-    q, _ = np.linalg.qr(stacked)
-    first = q[:, 0] if float(q[:, 0] @ pole) > 0 else -q[:, 0]
-    frame = np.vstack([q[:, 1], q[:, 2], q[:, 3], first])
-    if np.linalg.det(frame) < 0:
-        frame[[0, 1]] = frame[[1, 0]]
-    return frame
+    """Rotation in SO(4) sending the unit vector ``pole`` to (0, 0, 0, 1).
+
+    Left multiplication by the unit quaternion e3 conj(pole) is in SO(4)
+    and takes pole to e3 |pole|^2 = e3.
+    """
+    pole = CDNumber(2, pole.tolist())
+    return left_mult_matrix(CDNumber.basis(2, 3) * pole.conj())
 
 
 def _stereographic(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -589,7 +585,7 @@ def linking_hopf_invariant(
         )
         if float(np.min(np.linalg.norm(cloud - pole, axis=1))) < 0.05:
             raise GeometryError("no usable stereographic pole found")
-        frame = _projection_frame(np.asarray(pole, dtype=float))
+        frame = _projection_frame(pole)
         p1, p2 = (_stereographic(c, frame) for c in circles)
         lk = gauss_linking_number(p1, p2)
         rounded = int(round(lk))

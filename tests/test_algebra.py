@@ -186,6 +186,21 @@ def test_mul_batch_empty_and_object_path():
 
 
 @pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([[2**63, -1]], [[1, 0]]),
+        ([[2**63, 0]], [[1, 0]]),
+        ([[2**64 - 1, 5], [-3, 2**63]], [[2, 3], [2**63 + 1, -7]]),
+    ],
+    ids=["past-int64-and-negative", "past-int64", "below-2-to-64"],
+)
+def test_mul_batch_takes_integer_lists_past_int64(xs, ys):
+    # numpy infers float64 for these lists; they must take the object path
+    out = mul_batch(1, xs, ys)
+    assert out.tolist() == [list(ref_mul(tuple(x), tuple(y))) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         np.full((2, 4), 0.5),
@@ -194,8 +209,23 @@ def test_mul_batch_empty_and_object_path():
         np.array([[Fraction(1, 2)] * 4] * 2, dtype=object),
         np.array([[Fraction(2)] * 4] * 2, dtype=object),
         np.array([[1, 2, 3, 4.5]] * 2, dtype=object),
+        [[2**63, 2, 3, 4.5]] * 2,
+        [[True, 2, 3, 4]] * 2,
+        np.ones((2, 4), dtype=bool),
+        np.array([[True, 2**70, 3, 4]] * 2, dtype=object),
     ],
-    ids=["float-halves", "float-ones", "float-list", "fraction", "integral-fraction", "object-float"],
+    ids=[
+        "float-halves",
+        "float-ones",
+        "float-list",
+        "fraction",
+        "integral-fraction",
+        "object-float",
+        "float-list-past-int64",
+        "bool-list",
+        "bool-array",
+        "object-bool",
+    ],
 )
 def test_mul_batch_rejects_non_integers(bad):
     ints = np.ones((2, 4), dtype=np.int64)

@@ -89,10 +89,59 @@ def test_line_point_norm_check():
 def test_points_report_the_tolerance_they_were_checked_with():
     one, zero = CDNumber.one(3), CDNumber.zero(3)
     near = CDNumber(3, (1.0002,) + (0.0,) * 7)  # norm 1 within 1e-3, not within 1e-9
-    assert TriplePoint(near, zero, zero, tol=1e-3).tol == 1e-3
     assert LinePoint(near, zero, tol=1e-2).tol == 1e-2
-    assert TriplePoint(one, zero, zero).tol == LinePoint(one, zero).tol == 1e-9
+    assert LinePoint(one, zero).tol == 1e-9
     assert repr(LinePoint(one, zero, tol=1e-2)) == f"LinePoint({one!r}, {zero!r})"
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_line_point_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        LinePoint(CDNumber.one(3), CDNumber.zero(3), tol=tol)
+
+
+ONE_3, ZERO_3 = CDNumber.one(3), CDNumber.zero(3)
+E1, E2, E4 = (basis_element(3, k) for k in (1, 2, 4))
+INF = math.inf
+
+
+# an infinite tolerance passed every check when the checks took one
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: TriplePoint(E1 * 3.0, E2 * 3.0, E4 * 3.0, tol=INF), id="triple-point"),
+        pytest.param(
+            lambda: chart_forward(Functional(1, 0, 0), real_triple(0, 1, 0), INF), id="chart-forward"
+        ),
+        pytest.param(
+            lambda: equivalent(real_triple(1, 0, 0), real_triple(0, 1, 0), INF), id="equivalent"
+        ),
+        pytest.param(
+            lambda: line_equivalent(LinePoint(ONE_3, ZERO_3), LinePoint(ZERO_3, ONE_3), INF),
+            id="line-equivalent",
+        ),
+        pytest.param(
+            lambda: in_chart_domain(Functional(1, 0, 0), real_triple(0, 1, 0), INF),
+            id="in-chart-domain",
+        ),
+        pytest.param(lambda: attaching_map(ONE_3, ONE_3, tol=INF), id="attaching-map"),
+        pytest.param(lambda: disk_extension(ONE_3, ONE_3, INF), id="disk-extension"),
+        pytest.param(
+            lambda: sphere_to_line(np.array([0.0, 3.0, 4.0]), tol=INF), id="sphere-to-line"
+        ),
+    ],
+)
+def test_geometric_checks_take_no_tolerance(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_motivating_inputs_fail_at_the_one_tolerance():
+    with pytest.raises(MembershipError):
+        TriplePoint(E1 * 3.0, E2 * 3.0, E4 * 3.0)
+    assert not equivalent(real_triple(1, 0, 0), real_triple(0, 1, 0))
+    with pytest.raises(MembershipError):
+        sphere_to_line(np.array([0.0, 3.0, 4.0]))
 
 
 # -- invariants and equivalence -------------------------------------------------
@@ -187,7 +236,7 @@ ONE_1 = CDNumber.one(1)
         ),
         pytest.param(lambda: disk_extension(NAN_AXIS, ZERO_1), MembershipError, id="disk"),
         pytest.param(
-            lambda: projective._associator_span(NAN_AXIS, ONE_1, ONE_1, TOL),
+            lambda: projective._associator_span(NAN_AXIS, ONE_1, ONE_1),
             MembershipError,
             id="associator",
         ),
@@ -285,11 +334,11 @@ def test_chart_roundtrip_backward_up_to_equivalence():
         f = coordinate_functional(2)
         for _ in range(60):
             p = random_triple_point(dim, rng)
-            if not in_chart_domain(f, p, 1e-3):
+            if not math.sqrt(eval_functional(f, p).norm_sq()) > 1e-3:
                 continue
             u, v = chart_forward(f, p)
             q = chart_backward(f, u, v)
-            assert equivalent(p, q, TOL)
+            assert equivalent(p, q)
 
 
 def test_chart_class_invariance():
@@ -429,7 +478,7 @@ def test_line_sphere_line_up_to_equivalence():
         for _ in range(100):
             lp = random_line_point(dim, rng)
             lq = sphere_to_line(line_to_sphere(lp))
-            assert line_equivalent(lp, lq, TOL)
+            assert line_equivalent(lp, lq)
 
 
 def test_complex_case_matches_complex_arithmetic():

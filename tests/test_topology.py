@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octoplane import topology
 from octoplane.algebra import CDNumber
 from octoplane.projective import random_unit, sphere_to_line
 from octoplane.topology import (
@@ -411,6 +412,17 @@ def test_fiber_circle_matches_scalar_products():
         units = [CDNumber(1, u) for u in zip(np.cos(theta).tolist(), np.sin(theta).tolist())]
         expected = [(*(point.x * u).coords, *(point.y * u).coords) for u in units]
         assert np.array_equal(fiber_circle(point, segments), np.array(expected))
+
+
+def test_projection_frame_rotates_the_pole_to_the_last_axis():
+    rng = np.random.default_rng(12)
+    poles = list(np.vstack([np.eye(4), -np.eye(4)]))
+    poles.extend(r / np.linalg.norm(r) for r in rng.normal(size=(20, 4)))
+    for pole in poles:
+        frame = topology._projection_frame(pole)
+        assert np.allclose(frame @ frame.T, np.eye(4), atol=1e-12)
+        assert abs(np.linalg.det(frame) - 1.0) < 1e-12
+        assert np.allclose(frame @ pole, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_linking_hopf_invariant_stable():
