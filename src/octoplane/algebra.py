@@ -147,6 +147,11 @@ def _integer_rows(rows, dim: int) -> np.ndarray:
     return rows.astype(np.int64) if _max_abs(rows) < 1 << 63 else rows
 
 
+#: ``mul_batch`` gathers at most this many entries of ``ys`` at once: what
+#: 256 dense rows gather at level 4, half a MB in int64.
+_GATHER_BLOCK = 1 << 16
+
+
 def mul_batch(level: int, xs, ys) -> np.ndarray:
     """Row-by-row products of two batches of integer elements at ``level``.
 
@@ -158,7 +163,11 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     Output coordinate k is the sum over i of signs[k, i] * x_i * y_j with
     j = columns[k, i] (``_gather_layout``), one ``einsum`` over the rows of
     ``ys`` gathered along those columns.  Axes that no row of ``xs`` uses
-    are left out of the gather, so sparse left factors cost little.
+    are left out of the gather, so sparse left factors cost little.  Rows
+    run in blocks, each as many rows as gather at most 2^16 entries
+    (``_GATHER_BLOCK``, half a MB of int64) and at least one, so the
+    gather of a dense batch takes no more memory at level 6 than at level
+    4; blocks change no result.
 
     Exactness: each output coordinate is a sum of at most 2^level terms
     +/- x_i y_j, so it and every partial sum are bounded by
@@ -177,8 +186,14 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     else:
         xs, ys, signs = xs.astype(object), ys.astype(object), signs.astype(object)
     used = xs.any(axis=0).nonzero()[0]
-    gathered = ys[:, columns[:, used]]
-    return np.einsum("ni,nki,ki->nk", xs.take(used, axis=1), gathered, signs.take(used, axis=1))
+    if len(used) < dim:  # a dense left factor is read in place, not copied
+        xs, columns, signs = xs.take(used, axis=1), columns[:, used], signs.take(used, axis=1)
+    step = max(1, _GATHER_BLOCK // (dim * max(1, len(used))))
+    out = np.empty((len(xs), dim), dtype=xs.dtype)
+    for start in range(0, len(xs), step):
+        block = slice(start, start + step)
+        np.einsum("ni,nki,ki->nk", xs[block], ys[block, columns], signs, out=out[block])
+    return out
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from typing import Callable, NamedTuple, Optional
@@ -116,8 +115,8 @@ def _coordinate_functionals() -> list[projective.Functional]:
 
 def _report_sampled(args: argparse.Namespace, max_error: float, text: str, ok: bool = True) -> int:
     """Emit a sampled float check, which passes when ``ok`` and ``max_error``
-    is below ``--tol``; ``text`` opens its text line."""
-    verdict = "pass" if (max_error < args.tol and ok) else "fail"
+    is below ``projective.DEFAULT_TOL``; ``text`` opens its text line."""
+    verdict = "pass" if (max_error < projective.DEFAULT_TOL and ok) else "fail"
     payload = {
         "level": args.level,
         "samples": args.samples,
@@ -289,13 +288,13 @@ COMMANDS: dict[str, Command] = {
     "chart-roundtrip": Command(
         _cmd_chart_roundtrip,
         "chart round-trip errors; --level is 1|2|4|8",
-        ("--level", "--samples", "--seed", "--tol"),
+        ("--level", "--samples", "--seed"),
         8,
     ),
     "equiv-check": Command(
         _cmd_equiv_check,
         "equivalence invariance; --level is 1|2|4|8",
-        ("--level", "--samples", "--seed", "--tol"),
+        ("--level", "--samples", "--seed"),
         8,
     ),
     "cohomology": Command(
@@ -329,19 +328,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def positive_finite_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
-
-
 #: Options several subcommands share; each reads only those its entry lists.
 SHARED_OPTIONS = {
     "--level": dict(type=int, help="algebra level (or dimension for chart commands)"),
     "--samples": dict(type=positive_int, default=100, help="random samples per check"),
     "--seed": dict(type=int, default=0, help="PRNG seed; echoed in reports"),
-    "--tol": dict(type=positive_finite_float, default=1e-9, help="tolerance for float comparisons"),
 }
 
 

@@ -1,24 +1,24 @@
 """Property checkers for the Cayley-Dickson tower.
 
 Each identity is written once, as a predicate on two or three elements
-that is true when they violate it.  One sweep runs the predicates of
-the five identity checkers over three phases of candidate tuples, in
-this order:
+that is true when they violate it.  The predicates run on one carrier,
+``_Batch``: N elements of a level as the rows of an integer array, with
+products from ``algebra.mul_batch``.  One chunk loop, ``_first_hit``,
+judges every candidate: it asks a candidate stream for a chunk of
+tuples, 64 at first and doubling up to 512, calls the predicate once on
+the chunk, and stops at the first violating row.  That row counts as one
+candidate more than those before it, exactly as a walk one candidate at
+a time counts.
 
-1. basis: every tuple of basis elements, in lexicographic index order.
-   The predicate runs on signed basis units, whose products come from the
-   level's sign table, so the phase costs table reads rather than
-   coordinate products; a hit is reported as the candidate tuple of
-   ``CDNumber.basis`` elements.
+The sweep of the five identity checkers reads three streams, in order:
+
+1. basis: every tuple of unit basis rows, in lexicographic index order.
 2. two-term: at level >= 4, for the checkers that ask for it, every
    ordered pair of two-term signed basis sums e_i +/- e_j, where the
    failures that basis tuples cannot see live, so such a failure
-   reproduces without any seed.  The predicates run here on batches of
-   pairs, whose products come from ``algebra.mul_batch``, in chunks that
-   grow from 64 to 512 pairs; the first violating pair in the chunk is
-   the witness, and it counts as one candidate more than the pairs
-   before it, exactly as a walk one pair at a time counts.
-3. random: ``samples`` seeded random tuples with exact integer entries.
+   reproduces without any seed.
+3. random: ``samples`` seeded random tuples with exact integer entries,
+   drawn as a walk one tuple at a time draws them.
 
 The first violating candidate ends the sweep.  Verdicts are exact:
 a "fails" report always carries a counterexample that violates the
@@ -28,11 +28,11 @@ dim**arity, even when its violation comes early; the pinned ``audit-all``
 output relies on it.
 
 The two-generated check is no identity on a fixed number of elements,
-so it has its own short loop: the first 512 two-term pairs at level 4,
-then seeded random pairs.  Each pair is closed exactly under products,
-as a basis of the subalgebra it generates, and the associator is tested
-on every triple of basis elements.  It shares the sweep's argument check
-and random draws.
+so it walks its candidate pairs one at a time: the first 512 two-term
+pairs at level 4, then seeded random pairs.  Each pair is closed exactly
+under products, as a basis of the subalgebra it generates, and the same
+chunk loop tests the associator on every triple of basis elements.  It
+shares the sweep's argument check and random stream.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -108,68 +107,30 @@ def associator(x: CDNumber, y: CDNumber, z: CDNumber) -> CDNumber:
     return (x * y) * z - x * (y * z)
 
 
-# -- the identities, each written once: true when the tuple violates it ---
+# -- the identities, each written once: true at the rows that violate it ---
 
 
-def _noncommuting(x, y) -> bool:
+def _noncommuting(x, y) -> np.ndarray:
     return x * y != y * x
 
 
-def _nonassociating(x, y, z) -> bool:
+def _nonassociating(x, y, z) -> np.ndarray:
     return (x * y) * z != x * (y * z)
 
 
-def _nonalternative(x, y) -> bool:
+def _nonalternative(x, y) -> np.ndarray:
     return (x * (y * y) != (x * y) * y) | ((x * x) * y != x * (x * y))
 
 
-def _nonflexible(x, y) -> bool:
+def _nonflexible(x, y) -> np.ndarray:
     return x * (y * x) != (x * y) * x
 
 
-def _norm_nonmultiplicative(x, y) -> bool:
+def _norm_nonmultiplicative(x, y) -> np.ndarray:
     return (x * y).norm_sq() != x.norm_sq() * y.norm_sq()
 
 
 # -- the sweep --------------------------------------------------------------
-
-
-class _Unit:
-    """The signed basis element sign * e_index at one level.
-
-    Implements just what the identity predicates use, so the basis phase
-    evaluates the same predicates as the other phases.  ``_units`` interns
-    the units of a level, so equality is identity and a product is one
-    list lookup, filled in from the level's sign table.
-    """
-
-    __slots__ = ("sign", "index", "position", "products")
-
-    def __init__(self, sign: int, index: int, position: int):
-        self.sign = sign
-        self.index = index
-        self.position = position
-        self.products: list[_Unit] = []
-
-    def __mul__(self, other: "_Unit") -> "_Unit":
-        return self.products[other.position]
-
-    def norm_sq(self) -> int:
-        return self.sign * self.sign
-
-
-@lru_cache(maxsize=None)
-def _units(level: int) -> tuple[_Unit, ...]:
-    """The signed basis units at ``level``: +e_i at position i, -e_i at dim + i."""
-    signs = _signs(level)
-    dim = 1 << level
-    units = [_Unit(sign, p % dim, p) for p, sign in enumerate([1] * dim + [-1] * dim)]
-    for x in units:
-        row = signs[x.index]
-        for y in units:
-            k = x.index ^ y.index
-            x.products.append(units[k if x.sign * y.sign * row[y.index] > 0 else dim + k])
-    return tuple(units)
 
 
 class _Batch:
@@ -201,11 +162,51 @@ class _Batch:
         return (rows * rows).sum(axis=1)
 
 
-#: The two-term phase judges pairs in chunks that start small, so an early
-#: witness costs little, and double up to a cap that keeps the gathered
-#: operand of one batched product near 1 MB at level 4.
+#: Candidates are judged in chunks that start small, so an early witness
+#: costs little, and double up to a cap; ``mul_batch`` bounds the memory
+#: of each product within a chunk.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 512
+
+#: A candidate stream: ``candidates(start, stop)`` gives candidates start
+#: .. stop - 1 as one (stop - start, 2^level) integer array per slot.
+_Candidates = Callable[[int, int], list[np.ndarray]]
+
+
+def _first_hit(
+    level: int, total: int, candidates: _Candidates, violates: Callable[..., np.ndarray]
+) -> tuple[int, Optional[tuple[CDNumber, ...]]]:
+    """Judge candidates 0 .. total - 1 of a stream in chunks, in order.
+
+    Each chunk is one call of ``violates`` on ``_Batch`` slots.  Returns how
+    many candidates were judged through the first violating one, as a walk
+    one candidate at a time counts them, and that candidate; or total and
+    None when none violates.
+    """
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        stop = min(start + size, total)
+        slots = candidates(start, stop)
+        hits = violates(*(_Batch(level, rows) for rows in slots))
+        first = int(hits.argmax())
+        if hits[first]:
+            return start + first + 1, tuple(CDNumber(level, rows[first].tolist()) for rows in slots)
+        start, size = stop, min(2 * size, _MAX_CHUNK)
+    return total, None
+
+
+def _ordered_tuples(rows: np.ndarray, arity: int) -> _Candidates:
+    """The stream of ordered ``arity``-tuples of ``rows``, first slot major,
+    as ``itertools.product(rows, repeat=arity)`` orders them."""
+
+    def candidates(start: int, stop: int) -> list[np.ndarray]:
+        index, slots = np.arange(start, stop), []
+        for _ in range(arity):
+            index, slot = np.divmod(index, len(rows))
+            slots.append(rows[slot])
+        return slots[::-1]
+
+    return candidates
 
 
 def _two_term_rows(level: int) -> np.ndarray:
@@ -220,30 +221,6 @@ def _two_term_rows(level: int) -> np.ndarray:
     return rows
 
 
-def _batched_two_term_sweep(
-    level: int, violates: Callable[..., np.ndarray]
-) -> tuple[int, Optional[tuple[CDNumber, CDNumber]]]:
-    """Judge every ordered two-term pair, first element major, in batches.
-
-    Returns how many pairs were judged, through the first violating one,
-    and that pair, or None when all of them pass.
-    """
-    rows = _two_term_rows(level)
-    count = len(rows)
-    total = count * count
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        index = np.arange(start, min(start + size, total))
-        hits = violates(_Batch(level, rows[index // count]), _Batch(level, rows[index % count]))
-        if hits.any():
-            first = start + int(hits.argmax())
-            pair = (rows[first // count], rows[first % count])
-            return first + 1, tuple(CDNumber(level, r.tolist()) for r in pair)
-        start += size
-        size = min(2 * size, _MAX_CHUNK)
-    return total, None
-
-
 def _check_arguments(level: int, samples: int, cap: int) -> None:
     if not 0 <= level <= cap:
         raise ValueError(f"level must be in [0, {cap}], got {level}")
@@ -251,11 +228,23 @@ def _check_arguments(level: int, samples: int, cap: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
 
-def _random_tuples(level: int, samples: int, seed: int, arity: int) -> Iterator[tuple]:
-    """``samples`` tuples of ``arity`` seeded random elements, drawn in order."""
-    rng = random.Random(seed)
-    draws = (random_exact(level, rng) for _ in range(arity * samples))
-    return zip(*[draws] * arity)  # arity draws per tuple
+def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
+    """The stream of ``arity``-tuples of seeded ``random_exact`` draws, in
+    the order a walk one tuple at a time draws them.
+
+    Coordinates are drawn as ``random_exact`` draws them, one ``randint``
+    each, without building the elements, and only as the stream is read;
+    so it must be read in order, from candidate 0 on.
+    """
+    rng, span = random.Random(seed), RANDOM_EXACT_SPAN
+
+    def candidates(start: int, stop: int) -> list[np.ndarray]:
+        count = (stop - start) * arity << level
+        draws = np.fromiter((rng.randint(-span, span) for _ in range(count)), np.int64, count)
+        rows = draws.reshape(stop - start, arity, 1 << level)
+        return [rows[:, k] for k in range(arity)]
+
+    return candidates
 
 
 def _sweep(
@@ -264,33 +253,30 @@ def _sweep(
     samples: int,
     seed: int,
     arity: int,
-    violates: Callable[..., object],
+    violates: Callable[..., np.ndarray],
     two_term: bool = False,
 ) -> PropertyReport:
     """Run ``violates`` over the basis, two-term and random phases in order.
 
-    ``violates(*candidate)`` is true when the candidate breaks the identity,
-    and then the candidate is the counterexample.  It uses only products,
-    norms and ``!=``, so the basis phase runs it on signed units and the
-    two-term phase, swept in full at level >= 4 when ``two_term`` is set,
-    on batches.
+    ``violates`` takes one ``_Batch`` per slot of a candidate tuple and is
+    true at the rows that break the identity; the first such candidate is
+    the counterexample.  Every phase is a candidate stream judged by
+    ``_first_hit``: the unit basis rows, the two-term rows when
+    ``two_term`` is set and level >= 4, then ``samples`` random tuples.
     """
     _check_arguments(level, samples, MAX_CHECK_LEVEL)
-    units = _units(level)[: 1 << level]
-    tested = len(units) ** arity
-    for xs in itertools.product(units, repeat=arity):
-        if violates(*xs):
-            hit = tuple(CDNumber.basis(level, u.index) for u in xs)
-            return PropertyReport(name, level, "fails", hit, tested)
+    dim = 1 << level
+    phases = [(dim**arity, _ordered_tuples(np.eye(dim, dtype=np.int64), arity))]
     if two_term and level >= 4:
-        judged, pair = _batched_two_term_sweep(level, violates)
-        tested += judged
-        if pair is not None:
-            return PropertyReport(name, level, "fails", pair, tested)
-    for xs in _random_tuples(level, samples, seed, arity):
-        tested += 1
-        if violates(*xs):
-            return PropertyReport(name, level, "fails", xs, tested)
+        rows = _two_term_rows(level)
+        phases.append((len(rows) ** arity, _ordered_tuples(rows, arity)))
+    phases.append((samples, _random_tuples(level, seed, arity)))
+    tested = 0
+    for phase, (total, candidates) in enumerate(phases):
+        judged, hit = _first_hit(level, total, candidates, violates)
+        tested += total if phase == 0 else judged  # the basis phase counts whole
+        if hit is not None:
+            return PropertyReport(name, level, "fails", hit, tested)
     return PropertyReport(name, level, "holds", None, tested)
 
 
@@ -450,15 +436,19 @@ def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -
     counterexample is the first non-associating triple of basis elements.
     """
     _check_arguments(level, samples, 4)
-    candidates = _random_tuples(level, samples, seed, 2)
+    phases = [(samples, _random_tuples(level, seed, 2))]
     if level >= 4:
-        terms = [CDNumber(level, r) for r in _two_term_rows(level).tolist()]
-        candidates = itertools.chain(
-            itertools.islice(itertools.product(terms, repeat=2), 512), candidates
-        )
-    name = "two_generated_associative"
-    for tested, (x, y) in enumerate(candidates, 1):
-        for triple in itertools.product(_subalgebra_basis(x, y), repeat=3):
-            if _nonassociating(*triple):
+        phases.insert(0, (512, _ordered_tuples(_two_term_rows(level), 2)))
+    name, tested = "two_generated_associative", 0
+    for total, candidates in phases:
+        for n in range(total):
+            tested += 1
+            x, y = (CDNumber(level, slot[0].tolist()) for slot in candidates(n, n + 1))
+            basis = _subalgebra_basis(x, y)
+            if not basis:  # x = y = 0 generate {0}, with no triple to test
+                continue
+            rows = _integer_rows([b.coords for b in basis], 1 << level)
+            _, triple = _first_hit(level, len(rows) ** 3, _ordered_tuples(rows, 3), _nonassociating)
+            if triple is not None:
                 return PropertyReport(name, level, "fails", triple, tested)
     return PropertyReport(name, level, "holds", None, tested)

@@ -18,6 +18,7 @@ from octoplane.algebra import (
     cd_to_json,
     embed,
     inner_product,
+    _GATHER_BLOCK,
     mul_batch,
     scalar_to_json,
 )
@@ -183,6 +184,21 @@ def test_mul_batch_empty_and_object_path():
     # Python ints past int64 arrive as an object array
     huge = [[2**70 + k for k in range(8)]]
     _assert_batch_matches_oracle(3, huge, huge)
+
+
+def test_mul_batch_row_blocks_match_row_by_row_products():
+    # a dense level-6 row gathers 64 * 64 entries, so both batches run in
+    # several row blocks; the blocks must change no coordinate
+    per_block = _GATHER_BLOCK // 64**2
+    rng = random.Random(11)
+    small = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(3 * per_block + 5)]
+    large = [[rng.randint(-9, 9) * 2**40 for _ in range(64)] for _ in range(2 * per_block + 1)]
+    for rows, dtype in ((small, np.int64), (large, object)):  # large leaves int64 past 2^62
+        xs, ys = rows, rows[::-1]
+        out = mul_batch(6, _as_array(xs, 64), _as_array(ys, 64))
+        assert out.dtype == dtype
+        expected = [list((CDNumber(6, x) * CDNumber(6, y)).coords) for x, y in zip(xs, ys)]
+        assert out.tolist() == expected
 
 
 @pytest.mark.parametrize(

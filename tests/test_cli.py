@@ -178,21 +178,20 @@ def test_usage_error_exit_code():
         ["chart-roundtrip", "--samples", "0"],
         ["equiv-check", "--samples", "0"],
         ["check", "--property", "flexible", "--samples", "-3"],
-        ["chart-roundtrip", "--tol", "inf"],
-        ["chart-roundtrip", "--tol", "nan"],
-        ["equiv-check", "--tol", "0"],
-        ["equiv-check", "--tol", "-1e-9"],
+        ["equiv-check", "--tol", "inf"],
     ],
 )
 def test_vacuous_runs_are_usage_errors(capsys, argv):
-    # zero samples or a tolerance that admits everything would pass unearned
+    # zero samples would pass unearned; a tolerance that admits everything
+    # cannot be given, since --tol is no option of any command
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
 
 
-#: Each subcommand with its required arguments, and the shared options it does not read.
+#: Each subcommand with its required arguments, and the shared options it does not
+#: read; --tol, which no command reads, is rejected as an unknown option.
 UNREAD_OPTIONS = {
     ("table",): ("--samples", "--seed", "--tol"),
     ("check", "--property", "flexible"): ("--tol",),

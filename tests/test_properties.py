@@ -12,8 +12,12 @@ from octoplane.algebra import CDNumber, basis_element, cd_to_json
 from octoplane.properties import (
     PropertyReport,
     _Batch,
+    _first_hit,
     _greedy_span_basis,
+    _ordered_tuples,
+    _random_tuples,
     _subalgebra_basis,
+    _two_term_rows,
     associator,
     check_alternative,
     check_associative,
@@ -494,3 +498,61 @@ def test_two_term_phase_reports_are_pinned(checker, level, samples, witness):
     }
     _, violates = REF_VIOLATIONS[checker]
     assert violates(*coords)
+
+
+# -- the chunk loop ----------------------------------------------------------------
+
+
+def _fires_at(k):
+    """A predicate true only at the k-th candidate it is shown, counting from 1."""
+    seen = [0]
+
+    def violates(*slots):
+        hits = np.zeros(len(slots[0].rows), dtype=bool)
+        if 0 <= k - 1 - seen[0] < len(hits):
+            hits[k - 1 - seen[0]] = True
+        seen[0] += len(hits)
+        return hits
+
+    return violates
+
+
+def _random_walk(level, seed, arity, count):
+    """The first ``count`` tuples of ``random_exact`` draws, one tuple at a time."""
+    rng = random.Random(seed)
+    return [tuple(random_exact(level, rng) for _ in range(arity)) for _ in range(count)]
+
+
+def _ordered_walk(level, rows, arity):
+    """The ordered ``arity``-tuples of ``rows``, first slot major, one at a time."""
+    elements = [CDNumber(level, r) for r in rows.tolist()]
+    return list(itertools.product(elements, repeat=arity))
+
+
+#: (name, level, total, a fresh stream, its candidates walked one at a time);
+#: a random stream is read once, from its start, so each test builds its own
+CHUNK_STREAMS = [
+    ("basis", 3, 8**3, lambda: _ordered_tuples(np.eye(8, dtype=np.int64), 3),
+     lambda: _ordered_walk(3, np.eye(8, dtype=np.int64), 3)),
+    ("two-term", 3, 56**2, lambda: _ordered_tuples(_two_term_rows(3), 2),
+     lambda: _ordered_walk(3, _two_term_rows(3), 2)),
+    ("random", 2, 300, lambda: _random_tuples(2, 5, 2), lambda: _random_walk(2, 5, 2, 300)),
+]
+
+
+@pytest.mark.parametrize("stream", CHUNK_STREAMS, ids=lambda s: s[0])
+@pytest.mark.parametrize("k", [1, 64, 65, 192, 193, "last"])
+def test_first_hit_counts_across_chunk_boundaries(stream, k):
+    # chunks hold 64, 128, 256, then 512 candidates: 64 and 192 end a chunk,
+    # 65 and 193 open the next
+    _, level, total, candidates, walk = stream
+    k = total if k == "last" else k
+    count, hit = _first_hit(level, total, candidates(), _fires_at(k))
+    assert count == k
+    assert hit == walk()[k - 1]
+
+
+@pytest.mark.parametrize("stream", CHUNK_STREAMS, ids=lambda s: s[0])
+def test_first_hit_without_a_hit_judges_every_candidate(stream):
+    _, level, total, candidates, _ = stream
+    assert _first_hit(level, total, candidates(), _fires_at(0)) == (total, None)
