@@ -305,6 +305,8 @@ _GRID = [
     for c in (0.0, 1.0, -1.0)
     if (a, b, c) != (0.0, 0.0, 0.0)
 ]
+#: ``_GRID``'s coefficients as a (3, 26, 1) array: the a, b and c columns.
+_GRID_COEFFS = np.array([f.coefficients() for f in _GRID]).T[:, :, None]
 
 
 def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
@@ -313,22 +315,29 @@ def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
     The vanishing sets are two planes in coefficient space, so a fixed
     sign grid almost always works; random unit triples drawn from a fixed
     seed are the fallback, so the result is deterministic.
+
+    The grid is scored in one array: coordinate k of every
+    ``eval_functional`` value, (ax + by) + cz, fills a (26, 2) slab for
+    the 26 functionals and the two points.  The squared slabs are added
+    in coordinate order, as ``CDNumber.norm_sq`` adds them, because
+    ``np.sum`` regroups eight terms pairwise and so can move the last bit
+    of a near-tie.  ``argmax`` keeps the first of equal scores, as a
+    strict scan in grid order would.
     """
-
-    def score(f: Functional) -> float:
-        return min(
-            math.sqrt(eval_functional(f, p).norm_sq()),
-            math.sqrt(eval_functional(f, q).norm_sq()),
-        )
-
-    best: Optional[Functional] = None
-    best_score = 0.0
-    for f in _GRID:
-        s = score(f)
-        if s > best_score:
-            best, best_score = f, s
-    if best is not None and best_score > SEPARATION_THRESHOLD:
-        return best
+    if p.level != q.level:
+        raise LevelMismatchError("points must share a level")
+    points = np.array([[e.coords for e in t.entries()] for t in (p, q)], dtype=float)
+    x, y, z = points.transpose(1, 2, 0)[:, :, None]
+    a, b, c = _GRID_COEFFS
+    squares = ((a * x + b * y) + c * z) ** 2
+    norm_sq = squares[0]
+    for slab in squares[1:]:
+        norm_sq += slab
+    lengths = np.sqrt(norm_sq)
+    scores = np.minimum(lengths[:, 0], lengths[:, 1])
+    best = int(scores.argmax())
+    if scores[best] > SEPARATION_THRESHOLD:
+        return _GRID[best]
 
     rng = random.Random(0)
     for _ in range(SEPARATION_ATTEMPTS):
@@ -337,7 +346,7 @@ def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
         if norm < 1e-12:
             continue
         f = Functional(*(v / norm for v in raw))
-        if score(f) > SEPARATION_THRESHOLD:
+        if min(math.sqrt(eval_functional(f, t).norm_sq()) for t in (p, q)) > SEPARATION_THRESHOLD:
             return f
     raise SeparationError("no separating functional found; inputs degenerate?")
 

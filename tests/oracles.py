@@ -3,12 +3,13 @@
 These deliberately do not share code paths with the package: the product
 is the textbook doubling recursion on coordinate halves, determinants are
 fraction-free eliminations, invariant factors come from gcds of minors,
-and ranks mod p from elimination over the field Z/p.
+ranks mod p from elimination over the field Z/p, and the separating sign
+grid is a scalar scan over plain coordinate tuples.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, sqrt
 
 
 def ref_conj(t):
@@ -147,3 +148,33 @@ def ref_subalgebra_basis(x, y):
             work.append(ref_mul(w, w))
             basis.append(w)
     return basis
+
+
+def ref_separating_grid(p, q):
+    """The sign-grid functional a scalar scan picks for two points, each a
+    triple of coordinate tuples, with its score.
+
+    The grid is (a, b, c) in {0, 1, -1}^3 minus zero, in that nested order.
+    A functional scores the smaller of |ax + by + cz| over the two points,
+    each coordinate formed as (x_k a + y_k b) + z_k c and the squares added
+    from 0 in coordinate order; the first strictly larger score wins, so the
+    result is (None, 0.0) when every functional vanishes on a point."""
+
+    def length(point, a, b, c):
+        total = 0
+        for xk, yk, zk in zip(*point):
+            v = (xk * a + yk * b) + zk * c
+            total += v * v
+        return sqrt(total)
+
+    best, best_score = None, 0.0
+    signs = (0.0, 1.0, -1.0)
+    for a in signs:
+        for b in signs:
+            for c in signs:
+                if (a, b, c) == (0.0, 0.0, 0.0):
+                    continue
+                score = min(length(p, a, b, c), length(q, a, b, c))
+                if score > best_score:
+                    best, best_score = (a, b, c), score
+    return best, best_score

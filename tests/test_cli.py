@@ -1,9 +1,10 @@
 import hashlib
 import json
+import math
 
 import pytest
 
-from octoplane import cli, topology
+from octoplane import cli, projective, topology
 from octoplane.cli import main
 
 
@@ -86,6 +87,20 @@ def test_chart_roundtrip_bad_dimension(capsys):
 def test_equiv_check(capsys):
     code, doc = run_json(capsys, "equiv-check", "--level", "8", "--samples", "20", "--seed", "1")
     assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_equiv_check_names_the_first_unseparated_sample(capsys, monkeypatch):
+    argv = ["equiv-check", "--level", "4", "--samples", "5", "--seed", "3"]
+    code, passing = run(capsys, *argv)
+    assert code == 0 and passing.endswith(" (seed 3): pass\n")
+    # no functional scores above an infinite threshold, so every pair fails
+    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", math.inf)
+    code, failing = run(capsys, *argv)
+    assert code == 1
+    head = passing.removesuffix(" (seed 3): pass\n")
+    assert failing == f"{head}, no separating functional at sample 0 (seed 3): fail\n"
+    code, doc = run_json(capsys, *argv)
+    assert code == 1 and doc["verdict"] == "fail"
 
 
 def test_cohomology_json(capsys):

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octoplane import projective
-from octoplane.algebra import CDNumber, basis_element
+from octoplane.algebra import CDNumber, LevelMismatchError, basis_element
 from octoplane.projective import (
     Functional,
     InvariantSextuple,
@@ -33,6 +35,8 @@ from octoplane.projective import (
     separating_functional,
     sphere_to_line,
 )
+
+from oracles import ref_separating_grid
 
 TOL = 1e-9
 DIMS = (1, 2, 4, 8)
@@ -388,6 +392,85 @@ def test_separating_functional_random_pairs():
         f = separating_functional(p, q)
         assert math.sqrt(eval_functional(f, p).norm_sq()) > 1e-6
         assert math.sqrt(eval_functional(f, q).norm_sq()) > 1e-6
+
+
+def _separation_pair(dim, kind, seed):
+    """Two points at dimension ``dim``; every kind but "random" is rich in ties."""
+    rng = random.Random(seed)
+    level = level_for_dim(dim)
+    if kind == "coordinate":
+        points = [
+            TriplePoint(*(CDNumber.from_scalar(float(i == j), level) for i in range(3)))
+            for j in range(3)
+        ]
+        return rng.choice(points), rng.choice(points)
+    if kind == "adversarial":
+        # each point zeroes 8 of the 26 grid functionals: a = -b, and b = c
+        x = random_unit(level, rng) * (1.0 / math.sqrt(2.0))
+        zero = CDNumber.zero(level)
+        return TriplePoint(x, x, zero), TriplePoint(zero, x, -x)
+    if kind == "isotropic":
+        # at d >= 4 the entries are orthogonal and of one norm, so the eight
+        # (+-1, +-1, +-1) functionals score alike but for rounding
+        k = math.sqrt(1.0 / 3.0)
+        base = TriplePoint(*(basis_element(level, i if dim >= 4 else 0) * k for i in range(3)))
+        return equivalent_representative(base, rng), equivalent_representative(base, rng)
+    p = random_triple_point(dim, rng)
+    if kind == "same":
+        return p, p
+    if kind == "equivalent":
+        return p, equivalent_representative(p, rng)
+    return p, random_triple_point(dim, rng)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        ["random", "same", "equivalent", "coordinate", "adversarial", "isotropic"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separating_functional_matches_scalar_grid(dim, kind, seed):
+    p, q = _separation_pair(dim, kind, seed)
+    expected, score = ref_separating_grid(
+        tuple(e.coords for e in p.entries()), tuple(e.coords for e in q.entries())
+    )
+    assert score > projective.SEPARATION_THRESHOLD
+    f = separating_functional(p, q)
+    assert f.coefficients() == expected
+    assert any(f is g for g in projective._GRID)
+
+
+def test_separating_functional_rejects_mixed_levels():
+    with pytest.raises(LevelMismatchError):
+        separating_functional(real_triple(1, 0, 0, level=3), real_triple(1, 0, 0, level=2))
+
+
+def _rotated_pair(level):
+    """(2, 1, 0)/sqrt 5 and (-1, 2, 0)/sqrt 5: no grid functional scores
+    above 1/sqrt 5 on both, while a unit one can reach 1/sqrt 2."""
+    s = math.sqrt(5.0)
+    return real_triple(2 / s, 1 / s, 0, level), real_triple(-1 / s, 2 / s, 0, level)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_separating_functional_falls_back_to_seeded_draws(level, monkeypatch):
+    p, q = _rotated_pair(level)
+    coords = [tuple(e.coords for e in t.entries()) for t in (p, q)]
+    assert ref_separating_grid(*coords)[1] < 0.5
+    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", 0.5)
+    f = separating_functional(p, q)
+    # the first of the seeded unit draws that scores above 0.5
+    assert f.coefficients() == (0.16142058790209005, 0.8269267053466642, -0.5386423839486222)
+    assert min(math.sqrt(eval_functional(f, t).norm_sq()) for t in (p, q)) > 0.5
+
+
+def test_separating_functional_raises_when_nothing_separates(monkeypatch):
+    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", math.inf)
+    p, q = _rotated_pair(3)
+    with pytest.raises(projective.SeparationError):
+        separating_functional(p, q)
 
 
 # -- line, sphere, cells -------------------------------------------------------------
