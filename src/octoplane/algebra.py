@@ -319,10 +319,7 @@ class CDNumber:
                 ZeroDivisorWarning,
                 stacklevel=2,
             )
-        conj = self.conj()
-        if _is_exact(ns) and self.is_exact():
-            return CDNumber(self.level, tuple(Fraction(a) / ns for a in conj.coords))
-        return CDNumber(self.level, tuple(a / ns for a in conj.coords))
+        return self.conj() / ns
 
     # -- structure helpers ---------------------------------------------
 

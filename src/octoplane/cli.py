@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import properties, projective, topology
-from .algebra import CDNumber, TableSizeError, build_table, cd_to_json
+from .algebra import CDNumber, build_table, cd_to_json
 
 AUDIT_PROPERTIES = (
     "commutative",
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except (topology.InconsistencyError, topology.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TableSizeError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,11 +14,9 @@ identified with the sphere S^d.
 
 Everything here runs in floating point over algebra dimension
 d in {1, 2, 4, 8}; d = 8 (octonions) is the default.  Every geometric
-check uses the one absolute tolerance ``DEFAULT_TOL`` = 1e-9; the only
-other is the 1e-7 at which ``sphere_to_line`` checks the point it
-builds.  Every tolerance check is written so that NaN fails it, so
-non-finite coordinates fail every geometric check instead of slipping
-through.  All values are immutable, all functions pure.
+check uses the one absolute tolerance ``DEFAULT_TOL`` = 1e-9, written so
+that NaN fails it: non-finite coordinates fail every geometric check
+instead of slipping through.  All values are immutable, all functions pure.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ import numpy as np
 from .algebra import CDNumber, LevelMismatchError
 
 DEFAULT_TOL = 1e-9
-#: ``sphere_to_line`` checks its points at this: their norm error is as large as the input's.
-_SPHERE_TO_LINE_TOL = 1e-7
 #: Algebra dimensions the plane construction supports.
 SUPPORTED_DIMS = (1, 2, 4, 8)
 #: A functional coordinate below this cannot anchor a chart.
@@ -68,13 +64,10 @@ def _as_float(x: CDNumber) -> CDNumber:
     return CDNumber(x.level, tuple(float(c) for c in x.coords))
 
 
-def _check_entries(entries: tuple[CDNumber, ...], tol: float) -> None:
+def _check_entries(entries: tuple[CDNumber, ...]) -> None:
     """Entries share a level <= 3 and their squared norms sum to 1 within
-    ``tol``, which must be finite and positive.
-
-    A NaN or infinite coordinate makes the sum non-finite, and that fails."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    ``DEFAULT_TOL``; a NaN or infinite coordinate makes the sum non-finite,
+    and that fails."""
     level = entries[0].level
     total = 0
     for e in entries:
@@ -83,7 +76,7 @@ def _check_entries(entries: tuple[CDNumber, ...], tol: float) -> None:
         total += e.norm_sq()
     if level > 3:
         raise MembershipError(f"projective construction needs level <= 3, got {level}")
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= DEFAULT_TOL:
         raise MembershipError(f"norms sum to {total!r}, expected 1")
 
 
@@ -118,7 +111,7 @@ class TriplePoint:
     z: CDNumber
 
     def __post_init__(self):
-        _check_entries((self.x, self.y, self.z), DEFAULT_TOL)
+        _check_entries((self.x, self.y, self.z))
         _associator_span(self.x, self.y, self.z)
 
     @property
@@ -135,14 +128,13 @@ class TriplePoint:
 @dataclass(frozen=True, slots=True, eq=False)
 class LinePoint:
     """A representative (x, y) of a projective-line point; norms sum to 1
-    within ``tol``, kept with the point (1e-7 from ``sphere_to_line``)."""
+    within ``DEFAULT_TOL``."""
 
     x: CDNumber
     y: CDNumber
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        _check_entries((self.x, self.y), self.tol)
+        _check_entries((self.x, self.y))
 
     @property
     def level(self) -> int:
@@ -398,14 +390,15 @@ def sphere_to_line(s: np.ndarray) -> LinePoint:
 
     Splits s = (w, t); whichever of 1 -/+ t is larger gives a stable real
     representative for y or x, and the other entry is read off from
-    2 x y* = w.
+    2 x y* = w.  |s|^2 is checked at ``DEFAULT_TOL``; the point built has
+    norms summing to 1 + (|s|^2 - 1) / (2 (1 -/+ t)), within half that.
     """
     s = np.asarray(s, dtype=float)
     dim = s.shape[0] - 1
     level = level_for_dim(dim)
-    norm = float(np.linalg.norm(s))
-    if not abs(norm - 1.0) <= DEFAULT_TOL:
-        raise MembershipError(f"sphere point has norm {norm!r}")
+    norm_sq = float(s @ s)
+    if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
+        raise MembershipError(f"sphere point has squared norm {norm_sq!r}")
     w, t = s[:-1], float(s[-1])
     if t <= 0.0:
         ry = math.sqrt((1.0 - t) / 2.0)
@@ -415,7 +408,7 @@ def sphere_to_line(s: np.ndarray) -> LinePoint:
         rx = math.sqrt((1.0 + t) / 2.0)
         x = CDNumber.from_scalar(rx, level)
         y = CDNumber(level, tuple(float(c) / (2.0 * rx) for c in w)).conj()
-    return LinePoint(x, y, tol=_SPHERE_TO_LINE_TOL)
+    return LinePoint(x, y)
 
 
 # -- seeded sampling helpers ----------------------------------------------

@@ -8,7 +8,8 @@ computed from cup products here; instead two proxies are provided and
 labelled as such: the bidegree of the multiplication (signs of
 determinants of the left/right multiplication operators), and, for the
 complex case, the Gauss linking number of two fiber circles of the
-classifying map.
+classifying map.  The bidegree proxy needs each |det| within
+``projective.DEFAULT_TOL`` of 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .algebra import CDNumber
-from .projective import LinePoint, level_for_dim, random_unit, sphere_to_line
+from .projective import DEFAULT_TOL, LinePoint, level_for_dim, random_unit, sphere_to_line
 
 Matrix = list[list[int]]
 
@@ -445,9 +446,6 @@ def cohomology_profile(
 
 # -- Hopf-invariant proxies ---------------------------------------------------
 
-#: ``multiplication_bidegree`` needs every |det| within this of 1.
-BIDEGREE_DET_TOL = 1e-6
-
 
 def left_mult_matrix(b: CDNumber) -> np.ndarray:
     """Matrix of x -> b x in the coordinate basis."""
@@ -467,10 +465,11 @@ def multiplication_bidegree(level: int, samples: int, seed: int = 0) -> tuple[in
     """Signs of det(left mult) and det(right mult) by unit elements.
 
     For a multiplication with multiplicative norm these operators are
-    isometries of the unit sphere, so the determinants must be +-1 and of
-    constant sign; the pair of signs is the bidegree of the product as a
-    map of spheres.  This is the exact desk-scale proxy for the Hopf
-    invariant of the attaching construction.
+    isometries of the unit sphere, so the determinants must be +-1 (within
+    ``DEFAULT_TOL``; they come out 1 +- ~1e-15) and of constant sign; the
+    pair of signs is the bidegree of the product as a map of spheres.  This
+    is the exact desk-scale proxy for the Hopf invariant of the attaching
+    construction.
     """
     if level not in (1, 2, 3):
         raise ValueError(f"bidegree proxy supports levels 1..3, got {level}")
@@ -485,9 +484,9 @@ def multiplication_bidegree(level: int, samples: int, seed: int = 0) -> tuple[in
             (right_signs, right_mult_matrix(random_unit(level, rng))),
         ):
             det = float(np.linalg.det(mat))
-            if not abs(abs(det) - 1.0) <= BIDEGREE_DET_TOL:
+            if not abs(abs(det) - 1.0) <= DEFAULT_TOL:
                 raise InconsistencyError(
-                    f"|det| = {abs(det)!r} off unit by more than {BIDEGREE_DET_TOL}"
+                    f"|det| = {abs(det)!r} off unit by more than {DEFAULT_TOL}"
                 )
             signs.add(1 if det > 0 else -1)
     if len(left_signs) != 1 or len(right_signs) != 1:
@@ -546,12 +545,16 @@ def linking_hopf_invariant(
 ) -> int:
     """Linking number of two fibers of the complex classifying map.
 
-    Samples pairs of regular values on the 2-sphere, builds their fiber
-    circles on the 3-sphere, projects stereographically from a pole away
-    from both circles, and rounds the Gauss integral.  All sampled pairs
-    must agree; the common integer (of magnitude 1) is returned.  This is
-    the numerical oracle for the complex case, independent of the
-    bidegree proxy.
+    Samples pairs of regular values v1, v2 on the 2-sphere with
+    |v1 x v2| >= sin 0.1 (an angle in [0.1, pi - 0.1]), builds their fiber
+    circles on the 3-sphere, and projects stereographically from a point on
+    the fiber over -(v1 + v2) / |v1 + v2|, the point farthest from both
+    values.  That point is at least pi/2 + 0.05 from each, and fibers over
+    points b apart are 2 sin(b/4) apart, so the pole is at least 0.788 from
+    both circles.  The Gauss integral is rounded; all sampled pairs must
+    agree, and the common integer (of magnitude 1) is returned.  This is
+    the numerical oracle for the complex case, independent of the bidegree
+    proxy.
     """
     if segments < 64:
         raise ValueError(f"segments must be >= 64, got {segments}")
@@ -567,25 +570,13 @@ def linking_hopf_invariant(
             if n1 < 1e-6 or n2 < 1e-6:
                 continue
             v1, v2 = v1 / n1, v2 / n2
-            if math.acos(float(np.clip(v1 @ v2, -1.0, 1.0))) >= 0.1:
+            if float(np.linalg.norm(np.cross(v1, v2))) >= math.sin(0.1):
                 break
         else:
             raise GeometryError("could not sample well-separated regular values")
-        circles = [
-            fiber_circle(sphere_to_line(v), segments) for v in (v1, v2)
-        ]
-        cloud = np.vstack(circles)
-        candidates = [row for row in np.vstack([np.eye(4), -np.eye(4)])]
-        candidates.extend(
-            r / np.linalg.norm(r) for r in rng.normal(size=(8, 4))
-        )
-        pole = max(
-            candidates,
-            key=lambda c: float(np.min(np.linalg.norm(cloud - c, axis=1))),
-        )
-        if float(np.min(np.linalg.norm(cloud - pole, axis=1))) < 0.05:
-            raise GeometryError("no usable stereographic pole found")
-        frame = _projection_frame(pole)
+        circles = [fiber_circle(sphere_to_line(v), segments) for v in (v1, v2)]
+        far = sphere_to_line(-(v1 + v2) / np.linalg.norm(v1 + v2))
+        frame = _projection_frame(np.array(far.x.coords + far.y.coords))
         p1, p2 = (_stereographic(c, frame) for c in circles)
         lk = gauss_linking_number(p1, p2)
         rounded = int(round(lk))
@@ -603,8 +594,7 @@ def ring_consistency_op3() -> str:
     operations are computed."""
     cw = builtin_cw("hypothetical-OP3")
     lines = ["cohomology of the hypothetical OP3 cell structure (integer coefficients):"]
-    for k in range(cw.max_dim + 1):
-        group = cohomology(cw, k, INTEGERS)
+    for k, group in enumerate(cohomology_profile(cw)):
         if not group.is_trivial:
             lines.append(f"  H^{k} = {group}")
     lines.append(

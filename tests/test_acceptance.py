@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line (run with -s to see them on
 success).  Tolerances are pinned here and nowhere else: algebraic checks
-are exact, chart geometry is 1e-9, determinants 1e-6.
+are exact, chart geometry and determinants are 1e-9.
 """
 
 import json
@@ -230,7 +230,7 @@ def test_criterion_6_hopf_invariant_proxies():
     started = time.monotonic()
     failures = []
 
-    # determinant tolerance 1e-6 is enforced inside; a violation raises
+    # determinant tolerance 1e-9 is enforced inside; a violation raises
     for level in (1, 2, 3):
         try:
             bidegree = multiplication_bidegree(level, 1000, seed=level)

@@ -278,9 +278,9 @@ def test_rejected_input_exits_2(capsys, argv):
 
 
 def test_mathematical_failure_exits_1(capsys, monkeypatch):
-    def no_pole(**kwargs):
-        raise topology.GeometryError("no usable stereographic pole found")
+    def off_integer(**kwargs):
+        raise topology.GeometryError("linking integral 1.5 too far from an integer")
 
-    monkeypatch.setattr(topology, "linking_hopf_invariant", no_pole)
+    monkeypatch.setattr(topology, "linking_hopf_invariant", off_integer)
     assert main(["hopf", "--mode", "linking"]) == 1
-    assert "no usable stereographic pole" in capsys.readouterr().err
+    assert "too far from an integer" in capsys.readouterr().err

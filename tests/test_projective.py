@@ -90,20 +90,6 @@ def test_line_point_norm_check():
         LinePoint(CDNumber.one(3), CDNumber.one(3))
 
 
-def test_points_report_the_tolerance_they_were_checked_with():
-    one, zero = CDNumber.one(3), CDNumber.zero(3)
-    near = CDNumber(3, (1.0002,) + (0.0,) * 7)  # norm 1 within 1e-3, not within 1e-9
-    assert LinePoint(near, zero, tol=1e-2).tol == 1e-2
-    assert LinePoint(one, zero).tol == 1e-9
-    assert repr(LinePoint(one, zero, tol=1e-2)) == f"LinePoint({one!r}, {zero!r})"
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
-def test_line_point_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tolerance"):
-        LinePoint(CDNumber.one(3), CDNumber.zero(3), tol=tol)
-
-
 ONE_3, ZERO_3 = CDNumber.one(3), CDNumber.zero(3)
 E1, E2, E4 = (basis_element(3, k) for k in (1, 2, 4))
 INF = math.inf
@@ -114,6 +100,7 @@ INF = math.inf
     "call",
     [
         pytest.param(lambda: TriplePoint(E1 * 3.0, E2 * 3.0, E4 * 3.0, tol=INF), id="triple-point"),
+        pytest.param(lambda: LinePoint(ONE_3, ONE_3, tol=INF), id="line-point"),
         pytest.param(
             lambda: chart_forward(Functional(1, 0, 0), real_triple(0, 1, 0), INF), id="chart-forward"
         ),
@@ -542,6 +529,15 @@ def test_sphere_to_line_poles():
     assert (north.x - CDNumber.one(1)).max_abs() < TOL and north.y.max_abs() < TOL
     south = sphere_to_line(np.array([0.0, 0.0, -1.0]))
     assert south.x.max_abs() < TOL and (south.y - CDNumber.one(1)).max_abs() < TOL
+
+
+def test_sphere_to_line_checks_the_squared_norm():
+    # at t = 0 the point built has norms summing to 1 + (|s|^2 - 1) / 2
+    point = sphere_to_line(np.array([math.sqrt(1.0 + 0.99e-9), 0.0, 0.0]))
+    assert abs(point.x.norm_sq() + point.y.norm_sq() - 1.0) <= 0.5e-9
+    assert isinstance(LinePoint(point.x, point.y), LinePoint)
+    with pytest.raises(MembershipError, match="squared norm"):
+        sphere_to_line(np.array([math.sqrt(1.0 + 1.1e-9), 0.0, 0.0]))
 
 
 def test_sphere_line_roundtrips():

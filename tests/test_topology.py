@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -378,6 +379,12 @@ def test_bidegree_all_levels():
         assert multiplication_bidegree(level, 300, seed=level) == (1, 1)
 
 
+def test_bidegree_refuses_a_determinant_off_unit(monkeypatch):
+    monkeypatch.setattr(topology, "random_unit", lambda level, rng: random_unit(level, rng) * 2.0)
+    with pytest.raises(InconsistencyError, match="off unit"):
+        multiplication_bidegree(1, 1)
+
+
 def test_bidegree_rejects_bad_arguments():
     with pytest.raises(ValueError):
         multiplication_bidegree(4, 10)
@@ -423,6 +430,27 @@ def test_projection_frame_rotates_the_pole_to_the_last_axis():
         assert np.allclose(frame @ frame.T, np.eye(4), atol=1e-12)
         assert abs(np.linalg.det(frame) - 1.0) < 1e-12
         assert np.allclose(frame @ pole, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_linking_pole_is_far_from_both_fiber_circles(monkeypatch):
+    circles, distances = [], []
+    project = topology._projection_frame
+
+    def recording_circle(point, segments):
+        circles.append(fiber_circle(point, segments))
+        return circles[-1]
+
+    def recording_frame(pole):
+        distances.extend(np.linalg.norm(c - pole, axis=1).min() for c in circles[-2:])
+        return project(pole)
+
+    monkeypatch.setattr(topology, "fiber_circle", recording_circle)
+    monkeypatch.setattr(topology, "_projection_frame", recording_frame)
+    for seed in range(50):
+        assert linking_hopf_invariant(samples=10, segments=64, seed=seed) == 1
+    assert len(distances) == 50 * 10 * 2
+    # the pole's base point is at least pi/2 + 0.05 from both regular values
+    assert min(distances) >= 2.0 * math.sin(math.pi / 8 + 0.0125) - 1e-9
 
 
 def test_linking_hopf_invariant_stable():
