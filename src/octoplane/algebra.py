@@ -13,6 +13,13 @@ e_i * e_j = +/- e_(i xor j): the tower is a twisted group algebra of
 (Z/2)^n (Albuquerque-Majid 1999).  So only the signs are tabulated, and
 every index of a basis product is computed as i ^ j.
 
+A scalar product (``CDNumber.__mul__``, through ``_mul_coords``) runs one
+of two paths, picked from its factors: a straight-line expression
+compiled once per level from those signs when no coordinate is 0, and a
+loop that skips terms with a zero factor otherwise.  Both add the same
+terms in the same order, so the path never shows in a result.  Integer
+batches take ``mul_batch``.
+
 Coordinates may be exact (int / Fraction, no rounding anywhere) or
 double-precision floats.  All values are immutable and every operation
 is a pure function, so everything here is safe to share across threads.
@@ -31,7 +38,8 @@ import numpy as np
 
 Scalar = Union[int, Fraction, float]
 
-#: ``build_table`` refuses levels above this; tables grow as 4^level.
+#: ``build_table`` refuses levels above this, and ``_mul_coords`` compiles no
+#: kernel above it; tables and kernels grow as 4^level.
 TABLE_LEVEL_CAP = 6
 
 
@@ -77,16 +85,58 @@ def _signs(level: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _struct_rows(level: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per-row (j, i ^ j, sign) triples; the multiply kernel's layout."""
+    """Per-row (j, i ^ j, sign) triples; the layout of _mul_coords' zero-skipping loop."""
     return tuple(
         tuple((j, i ^ j, s) for j, s in enumerate(row)) for i, row in enumerate(_signs(level))
     )
 
 
+@lru_cache(maxsize=None)
+def _dense_kernel(level: int):
+    """``_mul_coords``' loop for factors with no zero coordinate, written out.
+
+    Output k is ``0 +/- x0*y(0^k) +/- x1*y(1^k) ...``, i ascending, with
+    ``+`` where _signs(level)[i][i ^ k] is +1: the products, the operators
+    and their order are those the loop makes when it skips no term.  It is
+    compiled on a level's first dense product.  The source has 4^level
+    terms and takes about 20 ms to compile at level 6, four times as long
+    at each level above, so ``_mul_coords`` stops at ``TABLE_LEVEL_CAP``.
+    """
+    dim = 1 << level
+    signs = _signs(level)
+    outputs = (
+        "0" + "".join(f" {'+' if signs[i][i ^ k] == 1 else '-'} x{i}*y{i ^ k}" for i in range(dim))
+        for k in range(dim)
+    )
+    source = (
+        "def kernel(xc, yc):\n"
+        f"    {', '.join(f'x{i}' for i in range(dim))}, = xc\n"
+        f"    {', '.join(f'y{i}' for i in range(dim))}, = yc\n"
+        f"    return ({', '.join(outputs)},)\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<level-{level} product kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _mul_coords(level: int, xc: tuple, yc: tuple) -> tuple:
-    """Bilinear product of coordinate tuples through the basis table."""
+    """Bilinear product of coordinate tuples through the basis table.
+
+    Two paths, chosen from the factors.  When neither holds a coordinate
+    equal to 0 (``0 in xc`` catches 0, 0.0, -0.0 and Fraction(0)) and the
+    level is at most ``TABLE_LEVEL_CAP``, one compiled expression per
+    output runs (``_dense_kernel``).  Otherwise a loop runs that skips
+    every term with a zero factor; a coordinate all of whose terms it
+    skips stays the int 0.  Without zero coordinates the loop skips no
+    term, and both paths start each output from the int 0 and add or
+    subtract the same products x_i*y_j in the same order (i ascending),
+    so they agree bit for bit and type for type: signed zeros, inf, NaN
+    and mixed int / float / Fraction coordinates included.
+    """
     if level == 0:
         return (xc[0] * yc[0],)
+    if level <= TABLE_LEVEL_CAP and 0 not in xc and 0 not in yc:
+        return _dense_kernel(level)(xc, yc)
     rows = _struct_rows(level)
     out = [0] * (1 << level)
     for i, v in enumerate(xc):
@@ -196,8 +246,29 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CDNumber:
+class _FrozenSlots:
+    """Base of the frozen value types, which list their ``__slots__`` by hand.
+
+    ``@dataclass(slots=True)`` builds a second class, and on CPython 3.10
+    and 3.11 the frozen ``__setattr__`` still names the first, so assigning
+    a name that is not a field raises TypeError instead of
+    FrozenInstanceError.  Copying and pickling restore slots through
+    setattr, which a frozen class refuses, so state goes through these two
+    methods instead, as dataclass does for the slots it makes.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, init=False)
+class CDNumber(_FrozenSlots):
     """An element of the level-n Cayley-Dickson algebra.
 
     ``coords[i]`` is the coefficient of basis element e_i; the tuple has
@@ -207,6 +278,7 @@ class CDNumber:
     Equality and hashing compare (level, coords).
     """
 
+    __slots__ = ("level", "coords")
     level: int
     coords: tuple
 
@@ -378,8 +450,8 @@ def inner_product(x: CDNumber, y: CDNumber) -> Scalar:
     return (x.conj() * y).coords[0]
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplicationTable:
+@dataclass(frozen=True)
+class MultiplicationTable(_FrozenSlots):
     """Signed basis-product table for one level of the tower.
 
     entry(i, j) = (sign, i ^ j) with e_i * e_j = sign * e_(i ^ j).  Products
@@ -387,6 +459,7 @@ class MultiplicationTable:
     table describes multiplication completely; only the signs are stored.
     """
 
+    __slots__ = ("level", "_sign_rows")
     level: int
     _sign_rows: tuple[tuple[int, ...], ...]
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import CDNumber, LevelMismatchError
+from .algebra import CDNumber, LevelMismatchError, _FrozenSlots
 
 DEFAULT_TOL = 1e-9
 #: Algebra dimensions the plane construction supports.
@@ -97,8 +97,8 @@ def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber) -> None:
         raise MembershipError(f"entries do not associate: associator magnitude {err:.3e}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TriplePoint:
+@dataclass(frozen=True, eq=False)
+class TriplePoint(_FrozenSlots):
     """A representative (x, y, z) of a projective-plane point.
 
     Entries share a level <= 3, their squared norms sum to 1 within
@@ -106,6 +106,7 @@ class TriplePoint:
     identity: representatives are compared through ``equivalent``.
     """
 
+    __slots__ = ("x", "y", "z")
     x: CDNumber
     y: CDNumber
     z: CDNumber
@@ -125,11 +126,12 @@ class TriplePoint:
         return f"TriplePoint({self.x!r}, {self.y!r}, {self.z!r})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class LinePoint:
+@dataclass(frozen=True, eq=False)
+class LinePoint(_FrozenSlots):
     """A representative (x, y) of a projective-line point; norms sum to 1
     within ``DEFAULT_TOL``."""
 
+    __slots__ = ("x", "y")
     x: CDNumber
     y: CDNumber
 
@@ -149,12 +151,13 @@ def _drift(us: Sequence[CDNumber], vs: Sequence[CDNumber]) -> float:
     return max((a - b).max_abs() for a, b in zip(us, vs))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class InvariantSextuple:
+@dataclass(frozen=True, eq=False, repr=False)
+class InvariantSextuple(_FrozenSlots):
     """The six products that pin down a projective-plane class.
 
     The diagonal products must be real and sum to 1 within ``DEFAULT_TOL``."""
 
+    __slots__ = ("xx", "xy", "xz", "yy", "yz", "zz")
     xx: CDNumber
     xy: CDNumber
     xz: CDNumber
@@ -178,13 +181,14 @@ class InvariantSextuple:
         return _drift(self.as_tuple(), other.as_tuple())
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Functional:
+@dataclass(frozen=True, eq=False)
+class Functional(_FrozenSlots):
     """A real triple (a, b, c) defining the map (x, y, z) -> ax + by + cz.
 
     Coefficients are stored as floats; they must be finite and not all zero.
     """
 
+    __slots__ = ("a", "b", "c")
     a: float
     b: float
     c: float

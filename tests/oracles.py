@@ -1,13 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately do not share code paths with the package: the product
-is the textbook doubling recursion on coordinate halves, determinants are
-fraction-free eliminations, invariant factors come from gcds of minors,
-ranks mod p from elimination over the field Z/p, and the separating sign
-grid is a scalar scan over plain coordinate tuples.
+is the textbook doubling recursion on coordinate halves, and its rounding
+is pinned by a plain loop over basis signs read from that recursion;
+determinants are fraction-free eliminations, invariant factors come from
+gcds of minors, ranks mod p from elimination over the field Z/p, and the
+separating sign grid is a scalar scan over plain coordinate tuples.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, sqrt
 
@@ -37,6 +39,55 @@ def ref_mul(x, y):
     return _vsub(ref_mul(a, c), ref_mul(ref_conj(d), b)) + _vadd(
         ref_mul(d, a), ref_mul(b, ref_conj(c))
     )
+
+
+@lru_cache(maxsize=None)
+def _ref_sign_rows(n):
+    """rows[i] lists (j, k, sign) with e_i e_j = sign * e_k, j ascending.
+
+    Each row is read from one ``ref_mul`` of the basis tuple e_i by
+    w = (3^0, 3^1, ...): coordinate k of e_i w is the sum of sign * 3^j
+    over the j that e_i e_j puts on axis k, so its balanced-ternary digits
+    are those signs.  Each j must land on exactly one axis."""
+    w = tuple(3**j for j in range(n))
+    rows = []
+    for i in range(n):
+        hits = []
+        for k, v in enumerate(ref_mul(tuple(int(t == i) for t in range(n)), w)):
+            j = 0
+            while v:
+                digit = (v + 1) % 3 - 1
+                if digit:
+                    hits.append((j, k, digit))
+                v, j = (v - digit) // 3, j + 1
+        hits.sort()
+        assert [j for j, _, _ in hits] == list(range(n)), f"row {i} is not a signed permutation"
+        rows.append(tuple(hits))
+    return tuple(rows)
+
+
+def ref_mul_ordered(x, y):
+    """The product term for term as the package forms it, with its rounding.
+
+    Output k starts from the int 0; for i, then j, ascending, the term
+    x_i * y_j is added to (or subtracted from) the output that e_i e_j lands
+    on, and a term with a zero factor is skipped, so an output with no term
+    left stays the int 0.  Dimension 1 is the single product x_0 * y_0."""
+    n = len(x)
+    if n == 1:
+        return (x[0] * y[0],)
+    out = [0] * n
+    for i in range(n):
+        if x[i] == 0:
+            continue
+        for j, k, sign in _ref_sign_rows(n)[i]:
+            if y[j] == 0:
+                continue
+            if sign > 0:
+                out[k] = out[k] + x[i] * y[j]
+            else:
+                out[k] = out[k] - x[i] * y[j]
+    return tuple(out)
 
 
 def exact_det(matrix):

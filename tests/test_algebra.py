@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from octoplane.algebra import (
     scalar_to_json,
 )
 
-from oracles import ref_conj, ref_mul
+from oracles import ref_conj, ref_mul, ref_mul_ordered
 
 
 def e(level, index):
@@ -101,6 +102,66 @@ def test_mul_matches_doubling_recursion_random():
             x = random_exact(level, rng)
             y = random_exact(level, rng)
             assert (x * y).coords == ref_mul(x.coords, y.coords)
+
+
+# Coordinate families for the rounding test.  Only "zeros" draws coordinates
+# equal to 0, so factors from the others take the compiled path and factors
+# with a zero take the zero-skipping loop; subnormal products underflow to
+# signed zeros and +/-1e200 products overflow to inf, whose sums give NaN.
+COORDINATE_FAMILIES = {
+    "gauss": lambda rng: rng.gauss(0.0, 1.0),
+    "subnormal": lambda rng: rng.uniform(-1.0, 1.0) * 1e-310,
+    "huge": lambda rng: rng.choice((1e200, -1e200)) * rng.uniform(0.5, 2.0),
+    "inf-nan": lambda rng: rng.choice((math.inf, -math.inf, math.nan, rng.gauss(0.0, 1.0))),
+    "zeros": lambda rng: rng.choice((0, 0.0, -0.0, Fraction(0), rng.gauss(0.0, 1.0), 3)),
+    "int-float": lambda rng: rng.choice((rng.randint(1, 9), -rng.randint(1, 9), rng.gauss(0.0, 1.0))),
+    "int": lambda rng: rng.choice((1, -1)) * rng.randint(1, 9),
+    "fraction": lambda rng: Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)),
+}
+
+
+def _check_product_rounding(level, seed, x_family, y_family):
+    rng = random.Random(seed)
+    dim = 1 << level
+    x = tuple(COORDINATE_FAMILIES[x_family](rng) for _ in range(dim))
+    y = tuple(COORDINATE_FAMILIES[y_family](rng) for _ in range(dim))
+    got = (CDNumber(level, x) * CDNumber(level, y)).coords
+    expected = ref_mul_ordered(x, y)
+    assert [(type(c), repr(c)) for c in got] == [(type(c), repr(c)) for c in expected]
+
+
+_ROUNDING_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    x_family=st.sampled_from(sorted(COORDINATE_FAMILIES)),
+    y_family=st.sampled_from(sorted(COORDINATE_FAMILIES)),
+)
+
+
+# a smaller seed is not a simpler case, so a failure is reported unshrunk
+@pytest.mark.parametrize("level", range(4))
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(**_ROUNDING_CASES)
+def test_product_rounds_as_the_ordered_oracle(level, seed, x_family, y_family):
+    _check_product_rounding(level, seed, x_family, y_family)
+
+
+@pytest.mark.parametrize("level", range(4, 7))
+@settings(
+    max_examples=4,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(**_ROUNDING_CASES)
+def test_product_rounds_as_the_ordered_oracle_at_levels_4_to_6(level, seed, x_family, y_family):
+    _check_product_rounding(level, seed, x_family, y_family)
 
 
 def test_bilinearity():

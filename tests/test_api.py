@@ -1,4 +1,7 @@
+import copy
+import pickle
 import types
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -65,11 +68,16 @@ VALUES = [
 )
 def test_value_types_are_immutable(value, field, slotted):
     before = getattr(value, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(FrozenInstanceError):
         setattr(value, field, object())
     assert getattr(value, field) is before
+    # a name that is not a field is refused the same way, slotted or not
+    with pytest.raises(FrozenInstanceError):
+        value.not_a_field = 1
     if slotted:
         assert not hasattr(value, "__dict__")
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and repr(getattr(clone, field)) == repr(before)
 
 
 @pytest.mark.parametrize(
