@@ -13,11 +13,11 @@ e_i * e_j = +/- e_(i xor j): the tower is a twisted group algebra of
 (Z/2)^n (Albuquerque-Majid 1999).  So only the signs are tabulated, and
 every index of a basis product is computed as i ^ j.
 
-A scalar product (``CDNumber.__mul__``, through ``_mul_coords``) runs one
-of two paths, picked from its factors: a straight-line expression
-compiled once per level from those signs when no coordinate is 0, and a
-loop that skips terms with a zero factor otherwise.  Both add the same
-terms in the same order, so the path never shows in a result.  Integer
+A scalar product (``CDNumber.__mul__``, through ``_mul_coords``) follows
+one rule: output k is ``0 +/- x0*y(0^k) +/- x1*y(1^k) ...``, i ascending,
+with every term made, zero factors included.  Levels 1 to
+``TABLE_LEVEL_CAP`` run it as a straight-line expression compiled once per
+level from those signs, and higher levels as a plain loop.  Integer
 batches take ``mul_batch``.
 
 Coordinates may be exact (int / Fraction, no rounding anywhere) or
@@ -39,7 +39,8 @@ import numpy as np
 Scalar = Union[int, Fraction, float]
 
 #: ``build_table`` refuses levels above this, and ``_mul_coords`` compiles no
-#: kernel above it; tables and kernels grow as 4^level.
+#: kernel above it but makes the same terms in a loop; tables and kernels
+#: grow as 4^level.
 TABLE_LEVEL_CAP = 6
 
 
@@ -84,23 +85,14 @@ def _signs(level: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _struct_rows(level: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per-row (j, i ^ j, sign) triples; the layout of _mul_coords' zero-skipping loop."""
-    return tuple(
-        tuple((j, i ^ j, s) for j, s in enumerate(row)) for i, row in enumerate(_signs(level))
-    )
-
-
-@lru_cache(maxsize=None)
-def _dense_kernel(level: int):
-    """``_mul_coords``' loop for factors with no zero coordinate, written out.
+def _product_kernel(level: int):
+    """The scalar product at ``level``, one expression per output.
 
     Output k is ``0 +/- x0*y(0^k) +/- x1*y(1^k) ...``, i ascending, with
-    ``+`` where _signs(level)[i][i ^ k] is +1: the products, the operators
-    and their order are those the loop makes when it skips no term.  It is
-    compiled on a level's first dense product.  The source has 4^level
-    terms and takes about 20 ms to compile at level 6, four times as long
-    at each level above, so ``_mul_coords`` stops at ``TABLE_LEVEL_CAP``.
+    ``+`` where _signs(level)[i][i ^ k] is +1 and every term made.  It is
+    compiled on a level's first product.  The source has 4^level terms and
+    takes about 20 ms to compile at level 6, four times as long at each
+    level above, so ``_mul_coords`` stops at ``TABLE_LEVEL_CAP``.
     """
     dim = 1 << level
     signs = _signs(level)
@@ -120,35 +112,28 @@ def _dense_kernel(level: int):
 
 
 def _mul_coords(level: int, xc: tuple, yc: tuple) -> tuple:
-    """Bilinear product of coordinate tuples through the basis table.
+    """Bilinear product of coordinate tuples through the basis signs.
 
-    Two paths, chosen from the factors.  When neither holds a coordinate
-    equal to 0 (``0 in xc`` catches 0, 0.0, -0.0 and Fraction(0)) and the
-    level is at most ``TABLE_LEVEL_CAP``, one compiled expression per
-    output runs (``_dense_kernel``).  Otherwise a loop runs that skips
-    every term with a zero factor; a coordinate all of whose terms it
-    skips stays the int 0.  Without zero coordinates the loop skips no
-    term, and both paths start each output from the int 0 and add or
-    subtract the same products x_i*y_j in the same order (i ascending),
-    so they agree bit for bit and type for type: signed zeros, inf, NaN
-    and mixed int / float / Fraction coordinates included.
+    Output k is ``0 +/- x0*y(0^k) +/- x1*y(1^k) ...``, i ascending, with
+    every term made, zero factors included.  The level alone picks how:
+    level 0 is ``x0*y0``, levels 1 to ``TABLE_LEVEL_CAP`` run the compiled
+    ``_product_kernel`` and higher levels a loop over i ascending that adds
+    each term to output i ^ j.  Both make the same terms in the same order
+    from the int 0, so they agree bit for bit and type for type: signed
+    zeros, inf, NaN and mixed int / float / Fraction coordinates included.
     """
     if level == 0:
         return (xc[0] * yc[0],)
-    if level <= TABLE_LEVEL_CAP and 0 not in xc and 0 not in yc:
-        return _dense_kernel(level)(xc, yc)
-    rows = _struct_rows(level)
+    if level <= TABLE_LEVEL_CAP:
+        return _product_kernel(level)(xc, yc)
+    signs = _signs(level)
     out = [0] * (1 << level)
     for i, v in enumerate(xc):
-        if v == 0:
-            continue
-        for j, k, s in rows[i]:
-            w = yc[j]
-            if w != 0:
-                if s == 1:
-                    out[k] += v * w
-                else:
-                    out[k] -= v * w
+        for j, (w, s) in enumerate(zip(yc, signs[i])):
+            if s == 1:
+                out[i ^ j] += v * w
+            else:
+                out[i ^ j] -= v * w
     return tuple(out)
 
 

@@ -71,18 +71,15 @@ def ref_mul_ordered(x, y):
 
     Output k starts from the int 0; for i, then j, ascending, the term
     x_i * y_j is added to (or subtracted from) the output that e_i e_j lands
-    on, and a term with a zero factor is skipped, so an output with no term
-    left stays the int 0.  Dimension 1 is the single product x_0 * y_0."""
+    on.  Every term is made, zero factors included, so no output stays the
+    int 0 unless its terms are ints.  Dimension 1 is the single product
+    x_0 * y_0."""
     n = len(x)
     if n == 1:
         return (x[0] * y[0],)
     out = [0] * n
     for i in range(n):
-        if x[i] == 0:
-            continue
         for j, k, sign in _ref_sign_rows(n)[i]:
-            if y[j] == 0:
-                continue
             if sign > 0:
                 out[k] = out[k] + x[i] * y[j]
             else:

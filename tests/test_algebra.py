@@ -104,10 +104,10 @@ def test_mul_matches_doubling_recursion_random():
             assert (x * y).coords == ref_mul(x.coords, y.coords)
 
 
-# Coordinate families for the rounding test.  Only "zeros" draws coordinates
-# equal to 0, so factors from the others take the compiled path and factors
-# with a zero take the zero-skipping loop; subnormal products underflow to
-# signed zeros and +/-1e200 products overflow to inf, whose sums give NaN.
+# Coordinate families for the rounding test.  "zeros" draws int, float and
+# Fraction zeros, whose terms are made like any other (a Fraction times 0.0
+# is a float, inf times 0.0 is NaN); subnormal products underflow to signed
+# zeros and +/-1e200 products overflow to inf, whose sums give NaN.
 COORDINATE_FAMILIES = {
     "gauss": lambda rng: rng.gauss(0.0, 1.0),
     "subnormal": lambda rng: rng.uniform(-1.0, 1.0) * 1e-310,
@@ -162,6 +162,15 @@ def test_product_rounds_as_the_ordered_oracle(level, seed, x_family, y_family):
 @given(**_ROUNDING_CASES)
 def test_product_rounds_as_the_ordered_oracle_at_levels_4_to_6(level, seed, x_family, y_family):
     _check_product_rounding(level, seed, x_family, y_family)
+
+
+def test_products_above_the_table_cap():
+    """Level 7 runs the loop, not a compiled kernel; the embedding is an algebra map."""
+    rng = random.Random(7)
+    x, y = random_exact(6, rng), random_exact(6, rng)
+    assert embed(x * y, 7) == embed(x, 7) * embed(y, 7)
+    u, v = random_exact(7, rng), random_exact(7, rng)
+    assert (u * v).coords == ref_mul(u.coords, v.coords)
 
 
 def test_bilinearity():
