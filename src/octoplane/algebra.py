@@ -389,10 +389,6 @@ class CDNumber(_FrozenSlots):
         pad = (1 << target_level) - (1 << self.level)
         return CDNumber(target_level, self.coords + (0,) * pad)
 
-    @property
-    def real(self) -> Scalar:
-        return self.coords[0]
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 

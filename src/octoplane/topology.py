@@ -3,13 +3,14 @@
 The homology engine is exact: (co)homology is read from the invariant
 factors of the boundary matrices of a CW description, found by integer
 elimination; only ``smith_normal_form`` also builds the unimodular
-transforms.  The Hopf invariant of the cell-attaching sphere maps is not
-computed from cup products here; instead two proxies are provided and
-labelled as such: the bidegree of the multiplication (signs of
-determinants of the left/right multiplication operators), and, for the
-complex case, the Gauss linking number of two fiber circles of the
-classifying map.  The bidegree proxy needs each |det| within
-``projective.DEFAULT_TOL`` of 1.
+transforms, after a row echelon pass, so its U and V are one valid pair
+among many and differ from those of earlier versions.  The Hopf
+invariant of the cell-attaching sphere maps is not computed from cup
+products here; instead two proxies are provided and labelled as such:
+the bidegree of the multiplication (signs of determinants of the
+left/right multiplication operators), and, for the complex case, the
+Gauss linking number of two fiber circles of the classifying map.  The
+bidegree proxy needs each |det| within ``projective.DEFAULT_TOL`` of 1.
 """
 
 from __future__ import annotations
@@ -88,73 +89,88 @@ class SNFResult(NamedTuple):
     v: Matrix
 
 
+def _balanced_quotient(x: int, p: int) -> int:
+    """q with x - q p in (-p/2, p/2], for p > 0."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * r > p else q
+
+
+def _reduce_below(a: Matrix, r: int, c: int, m: int) -> bool:
+    """Reduce rows r+1..m-1 by row r to balanced remainders in column c (a[r][c] > 0).
+    True if one is left nonzero: it is below the pivot, so the caller repivots."""
+    prow, p = a[r], a[r][c]
+    left = False
+    for i in range(r + 1, m):
+        if a[i][c]:
+            q = _balanced_quotient(a[i][c], p)
+            a[i] = [x - q * y for x, y in zip(a[i], prow)]
+            left = left or a[i][c] != 0
+    return left
+
+
+def _echelon(a: Matrix, m: int, n: int) -> None:
+    """Bring the top-left m x n block of ``a`` to row echelon form with whole-row
+    operations only: in each column the entry of least absolute value becomes a
+    positive pivot, and the rows below keep balanced remainders until it is alone."""
+    r = 0
+    for c in range(n):
+        while True:
+            live = [i for i in range(r, m) if a[i][c]]
+            if not live:
+                break
+            i = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[i] = a[i], a[r]
+            if a[r][c] < 0:  # _balanced_quotient needs p > 0
+                a[r] = [-x for x in a[r]]
+            if not _reduce_below(a, r, c, m):
+                break
+        if live:
+            r += 1
+
+
 def _diagonalize(a: Matrix, m: int, n: int) -> None:
     """Bring the top-left m x n block of ``a`` to Smith form in place.
 
     Row operations act on whole rows of ``a`` and column operations on
     whole columns, so entries beside and below the block record them.
     The diagonal ends non-negative with each entry dividing the next.
-    Pivots are chosen with minimal nonzero absolute value, which keeps
-    intermediate entries small on desk-scale inputs.
+    Each pass pivots on the first entry of least nonzero absolute value in
+    row-major order, which keeps entries small; its column operations all
+    read column t and none writes it, so each row takes them in one slice.
     """
-
-    def row_sub(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    def col_sub(i, j, q):  # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-
-    def balanced_quotient(x: int, p: int) -> int:
-        # remainder after subtracting q*p lies in (-p/2, p/2]
-        q, r = divmod(x, p)
-        if 2 * r > p:
-            q += 1
-        return q
-
     t = 0
     while t < min(m, n):
         while True:
-            # re-select the global minimum every pass; together with the
-            # balanced remainders this keeps intermediate entries small
-            pivot = None
-            best = None
+            best, pi = None, None
             for i in range(t, m):
                 row = a[i]
                 for j in range(t, n):
                     x = row[j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
+                    if x and (best is None or abs(x) < best):
+                        best, pi, pj = abs(x), i, j
+                if best == 1:  # no entry is smaller, and a later row's 1 comes later
+                    break
+            if pi is None:
                 break
-            pi, pj = pivot
-            if pi != t:
-                a[pi], a[t] = a[t], a[pi]
+            a[pi], a[t] = a[t], a[pi]
             if pj != t:
                 for row in a:
                     row[pj], row[t] = row[t], row[pj]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
 
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = balanced_quotient(a[i][t], p)
-                    if q:
-                        row_sub(i, t, q)
-                    if a[i][t] != 0:
-                        dirty = True  # remainder < p; next pass repivots
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = balanced_quotient(a[t][j], p)
-                    if q:
-                        col_sub(j, t, q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
+            dirty = _reduce_below(a, t, t, m)
+            prow, p = a[t], a[t][t]
+            qs = [_balanced_quotient(x, p) if x else 0 for x in prow[t + 1 : n]]
+            if any(qs):
+                for row in a:
+                    c = row[t]
+                    if c:
+                        row[t + 1 : n] = [x - q * c for x, q in zip(row[t + 1 : n], qs)]
+            if dirty or any(prow[t + 1 : n]):
                 continue
+            if p == 1:
+                break
             # pivot must divide the rest of the block; if not, folding the
             # offending row into row t produces a smaller remainder above
             offender = next(
@@ -163,7 +179,7 @@ def _diagonalize(a: Matrix, m: int, n: int) -> None:
             )
             if offender is None:
                 break
-            row_sub(t, offender, -1)  # row t += offending row
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
         if a[t][t] == 0:
             break
         t += 1
@@ -177,11 +193,14 @@ def smith_normal_form(matrix) -> SNFResult:
     """Diagonalize an integer matrix: S = U A V with U, V unimodular.
 
     The diagonal of S is non-negative and each entry divides the next.
-    The elimination runs on [[A, I], [I, 0]] and leaves [[S, U], [V, 0]].
+    The elimination runs on [[A, I], [I, 0]] and leaves [[S, U], [V, 0]];
+    a row echelon pass first leaves ``_diagonalize`` a nearly diagonal
+    block.  S is unique; U and V are valid but not unique.
     """
     a = _to_int_matrix(matrix)
     m, n = _shape(a)
     work = [row + e for row, e in zip(a, _eye(m))] + [e + [0] * m for e in _eye(n)]
+    _echelon(work, m, n)
     _diagonalize(work, m, n)
     return SNFResult(
         [row[:n] for row in work[:m]], [row[n:] for row in work[:m]], [row[:n] for row in work[m:]]

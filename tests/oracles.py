@@ -140,6 +140,31 @@ def int_mat_mul(a, b):
     ]
 
 
+def known_snf(rows, cols, rank, rng):
+    """A rows x cols matrix P D Q of known Smith form, and the nonzero diagonal of D.
+
+    D holds ``rank`` positive entries: ones, then a divisibility chain of up
+    to three torsion coefficients.  P and Q are products of 6 * side random
+    transvections (add +-1 times one row or column to another), so they are
+    unimodular and the result is dense."""
+    torsion = min(rank, rng.randint(1, 3))
+    diag, d = [1] * (rank - torsion), 1
+    for _ in range(torsion):
+        d *= rng.choice((2, 3))
+        diag.append(d)
+    a = [[diag[i] if i == j and i < rank else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(6 * rows):
+        i, j = rng.sample(range(rows), 2)
+        c = rng.choice((1, -1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    for _ in range(6 * cols):
+        i, j = rng.sample(range(cols), 2)
+        c = rng.choice((1, -1))
+        for row in a:
+            row[i] += c * row[j]
+    return a, diag
+
+
 def ref_rank(vectors):
     """Exact rank of a list of vectors, by rational elimination with row swaps."""
     rows = [[Fraction(v) for v in vec] for vec in vectors]

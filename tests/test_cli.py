@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from octoplane import cli, projective, topology
 from octoplane.cli import main
+
+# the output pins: each entry is a CLI argv or a demo path with the sha256 of its stdout
+GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -151,14 +155,13 @@ def test_audit_all(capsys):
     assert division4[0]["verdict"] == "fails" and division4[0]["match"] is True
 
 
-def test_audit_all_output_is_pinned(capsys):
-    # sha256 of the whole --json document at seed 42, default samples; any
-    # change to a verdict, a count or a counterexample changes it
-    code, out = run(capsys, "audit-all", "--seed", "42", "--json")
+@pytest.mark.parametrize("entry", [e for e in GOLDEN if "argv" in e], ids=lambda e: e["name"])
+def test_cli_output_is_pinned(capsys, entry):
+    # sha256 of the whole stdout; any change to a verdict, a count, a
+    # counterexample or a printed digit changes it
+    code, out = run(capsys, *entry["argv"])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "16687245ae788d288248d25f584e13ff6de2b1b7473f03645c4c7e83921015ff"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
 
 
 def test_audit_all_deterministic(capsys):

@@ -31,7 +31,7 @@ from octoplane.topology import (
     smith_normal_form,
 )
 
-from oracles import exact_det, int_mat_mul, invariant_factors_by_minors, rank_p
+from oracles import exact_det, int_mat_mul, invariant_factors_by_minors, known_snf, rank_p
 
 Z2 = CoefficientSpec.parse("Zmod:2")
 Z3 = CoefficientSpec.parse("Zmod:3")
@@ -89,6 +89,25 @@ def test_snf_against_minor_gcd_oracle():
         assert diag == invariant_factors_by_minors(matrix)
 
 
+@pytest.mark.parametrize("rows, cols, rank", [(12, 12, 12), (16, 18, 14), (20, 20, 20)])
+def test_snf_at_benchmark_sizes(rows, cols, rank):
+    a, diag = known_snf(rows, cols, rank, random.Random(rows * cols))
+    s, u, v = smith_normal_form(a)
+    assert s == [[diag[i] if i == j < rank else 0 for j in range(cols)] for i in range(rows)]
+    assert int_mat_mul(int_mat_mul(u, a), v) == s
+    assert abs(exact_det(u)) == 1 and abs(exact_det(v)) == 1
+    assert list(invariant_factors(a)) == diag
+
+
+def test_snf_all_negative_entries():
+    # -(L D R) with L, R triangles of ones has entry -(d_0 + ... + d_min(i,j)):
+    # every entry is negative, so the first pivot of every column is too
+    d = [1, 2, 6, 6, 12, 0, 0]
+    a = [[-sum(d[: min(i, j) + 1]) for j in range(7)] for i in range(9)]
+    assert snf_is_valid(a) == d
+    assert invariant_factors(a) == (1, 2, 6, 6, 12)
+
+
 @st.composite
 def small_int_matrices(draw):
     rows = draw(st.integers(0, 4))
@@ -108,6 +127,15 @@ def test_invariant_factors_match_snf_diagonal_and_minor_gcds(matrix):
 def test_invariant_factors():
     assert invariant_factors([[2, 4], [6, 8]]) == (2, 4)
     assert invariant_factors([[0]]) == ()
+
+
+def test_mat_mul_matches_oracle_on_unit_entries():
+    rng = random.Random(2)
+    for _ in range(100):
+        m, k, n = (rng.randint(1, 4) for _ in range(3))
+        a = [[rng.choice((-1, 0, 1)) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(k)]
+        assert topology.mat_mul(a, b) == int_mat_mul(a, b)
 
 
 def test_snf_rejects_non_integers():
@@ -166,6 +194,12 @@ def test_cw_validates_dd_zero():
             [("v", 0), ("w", 0), ("a", 1), ("f", 2)],
             {1: [[1], [-1]], 2: [[1]]},
         )
+
+
+def test_cw_rejects_a_composite_made_of_plus_ones():
+    # d1 d2 = [[1]] with every factor entry +1
+    with pytest.raises(ValueError):
+        CWDescription([("v", 0), ("a", 1), ("f", 2)], {1: [[1]], 2: [[1]]})
 
 
 def test_cw_torus_is_accepted():
