@@ -27,6 +27,7 @@ is a pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -395,8 +396,9 @@ class CDNumber(_FrozenSlots):
     def is_exact(self) -> bool:
         return all(_is_exact(a) for a in self.coords)
 
-    def max_abs(self) -> float:
-        return max(abs(a) for a in self.coords)
+    def max_abs(self) -> Scalar:
+        """Largest coordinate size; NaN when a coordinate is NaN."""
+        return _max_size(self.coords)
 
     def __repr__(self):
         terms = []
@@ -409,6 +411,22 @@ class CDNumber(_FrozenSlots):
 
 
 # -- module-level operations ------------------------------------------
+
+
+def _max_size(values: tuple) -> Scalar:
+    """The largest ``abs`` of the values, NaN when one is NaN: ``max`` keeps a
+    NaN only in first place.  Their sum is NaN only when a value is NaN or
+    both infinities occur, so only then are the values scanned for a NaN."""
+    size = max(map(abs, values))
+    total = sum(values)
+    if total == total:
+        return size
+    return math.nan if any(v != v for v in values) else size
+
+
+def associator(x: CDNumber, y: CDNumber, z: CDNumber) -> CDNumber:
+    """(xy)z - x(yz), exactly on exact input; zero iff the triple associates."""
+    return (x * y) * z - x * (y * z)
 
 
 def basis_element(level: int, index: int) -> CDNumber:

@@ -3,14 +3,16 @@
 Points are unit-norm triples (x, y, z) whose entries generate an
 associative subalgebra, taken up to the equivalence that identifies
 (x, y, z) with (xt, yt, zt) for unit t in that subalgebra.  Equivalence
-is detected through the six invariant products
+is detected through the Gram products w_i w_j* for i <= j,
 
     x x*,  x y*,  x z*,  y y*,  y z*,  z z*
 
 which determine the class completely.  Affine charts anchored at one of
 the three coordinates identify pieces of the plane with pairs of algebra
-elements, and the one-dimensional analogue (pairs instead of triples) is
-identified with the sphere S^d.
+elements.  The projective line is the two-entry case, a ``LinePoint``
+(x, y) with Gram products x x*, x y*, y y*, identified with the sphere
+S^d.  ``equivalent`` (also named ``line_equivalent``) and
+``equivalent_representative`` take either kind of point.
 
 Everything here runs in floating point over algebra dimension
 d in {1, 2, 4, 8}; d = 8 (octonions) is the default.  Every geometric
@@ -24,11 +26,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import CDNumber, LevelMismatchError, _FrozenSlots
+from .algebra import CDNumber, LevelMismatchError, _FrozenSlots, _max_size, associator
 
 DEFAULT_TOL = 1e-9
 #: Algebra dimensions the plane construction supports.
@@ -92,7 +94,7 @@ def _associator_span(x: CDNumber, y: CDNumber, z: CDNumber) -> None:
     checks since w* differs from -w by a real and associators with real
     arguments vanish.
     """
-    err = ((x * y) * z - x * (y * z)).max_abs()
+    err = associator(x, y, z).max_abs()
     if not err <= DEFAULT_TOL:
         raise MembershipError(f"entries do not associate: associator magnitude {err:.3e}")
 
@@ -142,13 +144,16 @@ class LinePoint(_FrozenSlots):
     def level(self) -> int:
         return self.x.level
 
+    def entries(self) -> tuple[CDNumber, CDNumber]:
+        return (self.x, self.y)
+
     def __repr__(self):
         return f"LinePoint({self.x!r}, {self.y!r})"
 
 
 def _drift(us: Sequence[CDNumber], vs: Sequence[CDNumber]) -> float:
-    """Largest coordinate gap between matching invariants."""
-    return max((a - b).max_abs() for a, b in zip(us, vs))
+    """Largest coordinate gap between matching invariants; NaN if a gap is."""
+    return _max_size(tuple((a - b).max_abs() for a, b in zip(us, vs)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -219,29 +224,32 @@ class Functional(_FrozenSlots):
         return f"Functional({self.a}, {self.b}, {self.c})"
 
 
+def _gram(p: TriplePoint | LinePoint) -> tuple[CDNumber, ...]:
+    """w_i w_j* for i <= j, row by row: six products for a triple, three for a pair."""
+    ws = p.entries()
+    conjs = [w.conj() for w in ws]
+    return tuple(w * c for i, w in enumerate(ws) for c in conjs[i:])
+
+
 def invariants_of(p: TriplePoint) -> InvariantSextuple:
-    """The six equivalence invariants of a representative."""
-    x, y, z = p.entries()
-    xc, yc, zc = x.conj(), y.conj(), z.conj()
-    return InvariantSextuple(x * xc, x * yc, x * zc, y * yc, y * zc, z * zc)
+    """The six equivalence invariants of a triple."""
+    return InvariantSextuple(*_gram(p))
 
 
-def equivalent(p: TriplePoint, q: TriplePoint) -> bool:
-    """Do two representatives name the same projective point?"""
+def equivalent(p: TriplePoint | LinePoint, q: TriplePoint | LinePoint) -> bool:
+    """Do two representatives, both triples or both pairs, name the same point?
+
+    No diagonal or trace check is redone: the real part of each w w* is
+    ``norm_sq`` summed in its order, and the membership check passed it.
+    """
+    if type(p) is not type(q):
+        raise TypeError(f"cannot compare a {type(p).__name__} with a {type(q).__name__}")
     if p.level != q.level:
         raise LevelMismatchError("points must share a level")
-    return invariants_of(p).max_difference(invariants_of(q)) <= DEFAULT_TOL
+    return _drift(_gram(p), _gram(q)) <= DEFAULT_TOL
 
 
-def line_invariants(p: LinePoint) -> tuple[CDNumber, CDNumber, CDNumber]:
-    x, y = p.x, p.y
-    return (x * x.conj(), x * y.conj(), y * y.conj())
-
-
-def line_equivalent(p: LinePoint, q: LinePoint) -> bool:
-    if p.level != q.level:
-        raise LevelMismatchError("points must share a level")
-    return _drift(line_invariants(p), line_invariants(q)) <= DEFAULT_TOL
+line_equivalent = equivalent
 
 
 def eval_functional(f: Functional, p: TriplePoint) -> CDNumber:
@@ -278,19 +286,15 @@ def chart_backward(f: Functional, u: CDNumber, v: CDNumber) -> TriplePoint:
     entry is 1/c_m.
     """
     m = f.anchor()
-    coeffs = f.coefficients()
+    coeffs = list(f.coefficients())
+    c_m = coeffs.pop(m)
     u = _as_float(u)
     v = _as_float(v)
-    slots: list[Optional[CDNumber]] = [None, None, None]
-    others = [i for i in range(3) if i != m]
-    slots[others[0]] = u
-    slots[others[1]] = v
-    s = CDNumber.one(u.level) - u * coeffs[others[0]] - v * coeffs[others[1]]
-    t = s / coeffs[m]
-    slots[m] = t
+    t = (CDNumber.one(u.level) - u * coeffs[0] - v * coeffs[1]) / c_m
     r = math.sqrt(u.norm_sq() + v.norm_sq() + t.norm_sq())
-    x, y, z = (w / r for w in slots)
-    return TriplePoint(x, y, z)
+    entries = [u, v]
+    entries.insert(m, t)
+    return TriplePoint(*(w / r for w in entries))
 
 
 #: Sign-grid functionals ``separating_functional`` tries first, built once.
@@ -337,11 +341,7 @@ def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
 
     rng = random.Random(0)
     for _ in range(SEPARATION_ATTEMPTS):
-        raw = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        norm = math.sqrt(sum(v * v for v in raw))
-        if norm < 1e-12:
-            continue
-        f = Functional(*(v / norm for v in raw))
+        f = Functional(*(e.coords[0] for e in _gaussian_entries(0, 3, rng)))
         if min(math.sqrt(eval_functional(f, t).norm_sq()) for t in (p, q)) > SEPARATION_THRESHOLD:
             return f
     raise SeparationError("no separating functional found; inputs degenerate?")
@@ -352,8 +352,7 @@ def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
 
 def line_include(p: LinePoint) -> TriplePoint:
     """[x, y] -> [x, y, 0]; embeds the line in the plane."""
-    zero = CDNumber.zero(p.level)
-    return TriplePoint(p.x, p.y, zero)
+    return TriplePoint(*p.entries(), CDNumber.zero(p.level))
 
 
 def attaching_map(x: CDNumber, y: CDNumber) -> LinePoint:
@@ -418,25 +417,22 @@ def sphere_to_line(s: np.ndarray) -> LinePoint:
 # -- seeded sampling helpers ----------------------------------------------
 
 
+def _gaussian_entries(level: int, count: int, rng: random.Random) -> list[CDNumber]:
+    """``count`` Gaussian elements, drawn in turn and scaled together to unit total norm."""
+    while True:
+        draws = [[rng.gauss(0.0, 1.0) for _ in range(1 << level)] for _ in range(count)]
+        norm = math.sqrt(sum(sum(c * c for c in coords) for coords in draws))
+        if norm > 1e-6:
+            return [CDNumber(level, tuple(c / norm for c in coords)) for coords in draws]
+
+
 def random_unit(level: int, rng: random.Random) -> CDNumber:
     """Unit-norm element with Gaussian direction."""
-    while True:
-        coords = [rng.gauss(0.0, 1.0) for _ in range(1 << level)]
-        norm = math.sqrt(sum(c * c for c in coords))
-        if norm > 1e-6:
-            return CDNumber(level, tuple(c / norm for c in coords))
+    return _gaussian_entries(level, 1, rng)[0]
 
 
 def random_line_point(dim: int, rng: random.Random) -> LinePoint:
-    level = level_for_dim(dim)
-    while True:
-        xs = [rng.gauss(0.0, 1.0) for _ in range(1 << level)]
-        ys = [rng.gauss(0.0, 1.0) for _ in range(1 << level)]
-        norm = math.sqrt(sum(c * c for c in xs) + sum(c * c for c in ys))
-        if norm > 1e-6:
-            x = CDNumber(level, tuple(c / norm for c in xs))
-            y = CDNumber(level, tuple(c / norm for c in ys))
-            return LinePoint(x, y)
+    return LinePoint(*_gaussian_entries(level_for_dim(dim), 2, rng))
 
 
 def random_triple_point(dim: int, rng: random.Random) -> TriplePoint:
@@ -456,11 +452,8 @@ def random_unit_in_subalgebra(
 ) -> CDNumber:
     """Unit element of the subalgebra generated by the given entries."""
     level = entries[0].level
-    span = [CDNumber.one(level)]
-    span.extend(entries)
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            span.append(entries[i] * entries[j])
+    span = [CDNumber.one(level), *entries]
+    span += [a * b for i, a in enumerate(entries) for b in entries[i + 1:]]
     while True:
         u = CDNumber.zero(level)
         for w in span:
@@ -470,12 +463,9 @@ def random_unit_in_subalgebra(
             return u / norm
 
 
-def equivalent_representative(p: TriplePoint, rng: random.Random) -> TriplePoint:
-    """A different representative (xu, yu, zu) of the same class."""
+def equivalent_representative(
+    p: TriplePoint | LinePoint, rng: random.Random
+) -> TriplePoint | LinePoint:
+    """A different representative (w_0 u, w_1 u, ...) of a triple's or a pair's class."""
     u = random_unit_in_subalgebra(p.entries(), rng)
-    return TriplePoint(p.x * u, p.y * u, p.z * u)
-
-
-def equivalent_line_representative(p: LinePoint, rng: random.Random) -> LinePoint:
-    u = random_unit_in_subalgebra((p.x, p.y), rng)
-    return LinePoint(p.x * u, p.y * u)
+    return type(p)(*(w * u for w in p.entries()))

@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .algebra import CDNumber, _integer_rows, _signs, cd_to_json, mul_batch
+from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
 MAX_CHECK_LEVEL = 6
 #: ``random_exact`` draws integer coordinates from [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN].
@@ -100,11 +101,6 @@ def random_exact(level: int, rng: random.Random) -> CDNumber:
     """Random element with integer coordinates in [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN]."""
     span = RANDOM_EXACT_SPAN
     return CDNumber(level, tuple(rng.randint(-span, span) for _ in range(1 << level)))
-
-
-def associator(x: CDNumber, y: CDNumber, z: CDNumber) -> CDNumber:
-    """(xy)z - x(yz), exactly; zero iff the triple associates."""
-    return (x * y) * z - x * (y * z)
 
 
 # -- the identities, each written once: true at the rows that violate it ---

@@ -19,12 +19,12 @@ import math
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .algebra import CDNumber
-from .projective import DEFAULT_TOL, LinePoint, level_for_dim, random_unit, sphere_to_line
+from .projective import DEFAULT_TOL, LinePoint, random_unit, sphere_to_line
 
 Matrix = list[list[int]]
 

@@ -12,8 +12,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-
 from octoplane.algebra import CDNumber, basis_element
 from octoplane.projective import (
     Functional,
@@ -31,7 +29,6 @@ from octoplane.properties import (
     check_associative,
     check_commutative,
     check_flexible,
-    check_norm_multiplicative,
     find_zero_divisors,
     random_exact,
 )

@@ -360,6 +360,25 @@ def test_norm_sq_examples():
     assert CDNumber(2, (1, 1, 1, 1)).norm_sq() == 4
 
 
+@pytest.mark.parametrize(
+    "coords, expected",
+    [
+        ((0.5, math.nan), math.nan),
+        ((math.nan, 0.5), math.nan),
+        ((math.inf, -math.inf), math.inf),
+        ((-0.25, 0.5, math.inf, math.nan), math.nan),
+        ((3, -7), 7),
+        ((Fraction(1, 3), Fraction(-1, 2)), Fraction(1, 2)),
+    ],
+)
+def test_max_abs_keeps_a_nan_and_exact_sizes(coords, expected):
+    size = CDNumber(len(coords).bit_length() - 1, coords).max_abs()
+    if math.isnan(expected):
+        assert math.isnan(size)
+    else:
+        assert size == expected and type(size) is type(expected)
+
+
 def test_x_times_conj_is_norm():
     rng = random.Random(5)
     for level in range(5):

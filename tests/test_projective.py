@@ -20,7 +20,6 @@ from octoplane.projective import (
     chart_forward,
     disk_extension,
     equivalent,
-    equivalent_line_representative,
     equivalent_representative,
     eval_functional,
     in_chart_domain,
@@ -40,6 +39,8 @@ from oracles import ref_separating_grid
 
 TOL = 1e-9
 DIMS = (1, 2, 4, 8)
+#: A seeded sampler for each kind of point: the plane's triples and the line's pairs.
+SAMPLERS = {"triple": random_triple_point, "line": random_line_point}
 
 
 def real_triple(a, b, c, level=3):
@@ -181,10 +182,19 @@ def test_equivalence_distinguishes_axes():
     assert not equivalent(real_triple(1, 0, 0), real_triple(0, 1, 0))
 
 
-def test_equivalence_symmetric_transitive_on_derived_reps():
+@pytest.mark.parametrize("same", [equivalent, line_equivalent], ids=["equivalent", "line"])
+def test_equivalence_refuses_mixed_kinds(same):
+    pair, triple = LinePoint(ONE_3, ZERO_3), real_triple(1, 0, 0)
+    for p, q in ((pair, triple), (triple, pair)):
+        with pytest.raises(TypeError):
+            same(p, q)
+
+
+@pytest.mark.parametrize("kind", SAMPLERS)
+def test_equivalence_symmetric_transitive_on_derived_reps(kind):
     rng = random.Random(3)
     for dim in DIMS:
-        p = random_triple_point(dim, rng)
+        p = SAMPLERS[kind](dim, rng)
         q = equivalent_representative(p, rng)
         r = equivalent_representative(q, rng)
         assert equivalent(p, q) and equivalent(q, p)
@@ -250,6 +260,26 @@ ONE_1 = CDNumber.one(1)
 def test_non_finite_inputs_fail_every_check(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_checks_at_exactly_the_tolerance():
+    # "within DEFAULT_TOL" includes it; a chart needs a value above it
+    one, zero = CDNumber.one(0), CDNumber.zero(0)
+    assert equivalent(LinePoint(one, zero), LinePoint(one, CDNumber.from_scalar(TOL, 0)))
+    InvariantSextuple(CDNumber(1, (1.0, TOL)), ZERO_1, ZERO_1, ZERO_1, ZERO_1, ZERO_1)
+    p = real_triple(1, 0, TOL)
+    assert math.sqrt(eval_functional(coordinate_functional(2), p).norm_sq()) == TOL
+    assert not in_chart_domain(coordinate_functional(2), p)
+    with pytest.raises(OutsideChartError):
+        chart_forward(coordinate_functional(2), p)
+
+
+def test_max_difference_keeps_a_nan():
+    # the NaN gap is the second of six; a plain max keeps only a first NaN
+    nan_xy = InvariantSextuple(ONE_1, NAN_AXIS, ZERO_1, ZERO_1, ZERO_1, ZERO_1)
+    assert math.isnan(nan_xy.max_difference(nan_xy))
+    axes = [invariants_of(real_triple(*row)) for row in ((1, 0, 0), (0, 1, 0))]
+    assert axes[0].max_difference(axes[1]) == 1.0
 
 
 def test_eval_functional_examples():
@@ -453,6 +483,23 @@ def test_separating_functional_falls_back_to_seeded_draws(level, monkeypatch):
     assert min(math.sqrt(eval_functional(f, t).norm_sq()) for t in (p, q)) > 0.5
 
 
+def test_separating_functional_needs_a_score_above_the_threshold(monkeypatch):
+    # the best grid score on two coordinate axes is exactly 1, and no unit
+    # functional scores above 1 on both
+    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", 1.0)
+    assert ref_separating_grid(((1.0,), (0.0,), (0.0,)), ((0.0,), (1.0,), (0.0,)))[1] == 1.0
+    with pytest.raises(projective.SeparationError):
+        separating_functional(real_triple(1, 0, 0, level=0), real_triple(0, 1, 0, level=0))
+    # a seeded draw scoring exactly the threshold is passed over for a later one
+    p, q = _rotated_pair(3)
+    first = Functional(0.16142058790209005, 0.8269267053466642, -0.5386423839486222)
+    score = min(math.sqrt(eval_functional(first, t).norm_sq()) for t in (p, q))
+    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", score)
+    later = separating_functional(p, q)
+    assert later.coefficients() != first.coefficients()
+    assert min(math.sqrt(eval_functional(later, t).norm_sq()) for t in (p, q)) > score
+
+
 def test_separating_functional_raises_when_nothing_separates(monkeypatch):
     monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", math.inf)
     p, q = _rotated_pair(3)
@@ -469,12 +516,13 @@ def test_line_include_examples():
     assert equivalent(p, real_triple(1, 0, 0))
 
 
-def test_line_include_preserves_equivalence():
+@pytest.mark.parametrize("same", [equivalent, line_equivalent], ids=["equivalent", "line"])
+def test_line_include_preserves_equivalence(same):
     rng = random.Random(11)
     for _ in range(40):
         lp = random_line_point(8, rng)
-        lq = equivalent_line_representative(lp, rng)
-        assert line_equivalent(lp, lq)
+        lq = equivalent_representative(lp, rng)
+        assert same(lp, lq)
         assert equivalent(line_include(lp), line_include(lq))
 
 
@@ -489,12 +537,13 @@ def test_line_include_reflects_inequivalence():
         assert same_line == same_plane
 
 
-def test_attaching_map_fibers():
+@pytest.mark.parametrize("same", [equivalent, line_equivalent], ids=["equivalent", "line"])
+def test_attaching_map_fibers(same):
     rng = random.Random(12)
     for _ in range(40):
         lp = random_line_point(8, rng)
-        lq = equivalent_line_representative(lp, rng)
-        assert line_equivalent(attaching_map(lp.x, lp.y), attaching_map(lq.x, lq.y))
+        lq = equivalent_representative(lp, rng)
+        assert same(attaching_map(lp.x, lp.y), attaching_map(lq.x, lq.y))
     with pytest.raises(MembershipError):
         attaching_map(CDNumber.one(3), CDNumber.one(3))
 
@@ -520,7 +569,7 @@ def test_line_to_sphere_class_invariant():
     for dim in DIMS:
         for _ in range(30):
             lp = random_line_point(dim, rng)
-            lq = equivalent_line_representative(lp, rng)
+            lq = equivalent_representative(lp, rng)
             assert float(np.max(np.abs(line_to_sphere(lp) - line_to_sphere(lq)))) < TOL
 
 
@@ -529,6 +578,14 @@ def test_sphere_to_line_poles():
     assert (north.x - CDNumber.one(1)).max_abs() < TOL and north.y.max_abs() < TOL
     south = sphere_to_line(np.array([0.0, 0.0, -1.0]))
     assert south.x.max_abs() < TOL and (south.y - CDNumber.one(1)).max_abs() < TOL
+
+
+def test_sphere_to_line_equator_takes_y_real():
+    # at t = 0 neither 1 - t nor 1 + t is larger; y is the real entry
+    point = sphere_to_line(np.array([0.0, 1.0, 0.0]))
+    assert point.y.coords[1] == 0.0 and point.x.coords[0] == 0.0
+    half = math.sqrt(0.5)
+    assert line_equivalent(point, LinePoint(basis_element(1, 1) * half, ONE_1 * half))
 
 
 def test_sphere_to_line_checks_the_squared_norm():

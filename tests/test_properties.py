@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from octoplane.algebra import CDNumber, basis_element, cd_to_json
 from octoplane.properties import (
-    PropertyReport,
     _Batch,
     _first_hit,
     _greedy_span_basis,
