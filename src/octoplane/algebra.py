@@ -195,6 +195,23 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     of the result holds the coordinates of xs[n] * ys[n], exactly as
     ``CDNumber.__mul__`` gives them.  Float and Fraction coordinates raise
     TypeError instead of being truncated; they take the scalar product.
+    The bound ``_mul_rows`` trusts is measured here: max|x| max|y| 2^level.
+    """
+    dim = 1 << level
+    xs, ys = _integer_rows(xs, dim), _integer_rows(ys, dim)
+    if len(xs) != len(ys):
+        raise ValueError(f"batches differ in length: {len(xs)} vs {len(ys)}")
+    return _mul_rows(level, xs, ys, (_max_abs(xs) * _max_abs(ys)) << level)
+
+
+def _mul_rows(level: int, xs: np.ndarray, ys: np.ndarray, bound: int) -> np.ndarray:
+    """``mul_batch`` on (N, 2^level) integer arrays, trusting the caller's ``bound``.
+
+    ``bound`` must be at least max|x| * max|y| * 2^level.  Each output
+    coordinate is a sum of 2^level terms +/- x_i y_j, so it and every
+    partial sum are at most that.  Below 2^62 the products run in int64,
+    and above it on Python ints in object arrays, which cannot overflow;
+    so a loose bound changes no result.
 
     Output coordinate k is the sum over i of signs[k, i] * x_i * y_j with
     j = columns[k, i] (``_gather_layout``), one ``einsum`` over the rows of
@@ -203,21 +220,12 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     run in blocks, each as many rows as gather at most 2^16 entries
     (``_GATHER_BLOCK``, half a MB of int64) and at least one, so the
     gather of a dense batch takes no more memory at level 6 than at level
-    4; blocks change no result.
-
-    Exactness: each output coordinate is a sum of at most 2^level terms
-    +/- x_i y_j, so it and every partial sum are bounded by
-    max|x| * max|y| * 2^level.  Below 2^62 that fits in int64 with room to
-    spare and the products run in int64; above it they run on Python ints
-    in object arrays, which cannot overflow.
+    4; blocks change no result, and a batch of one block is returned as
+    ``einsum`` makes it, with no copy.
     """
     dim = 1 << level
-    xs = _integer_rows(xs, dim)
-    ys = _integer_rows(ys, dim)
-    if len(xs) != len(ys):
-        raise ValueError(f"batches differ in length: {len(xs)} vs {len(ys)}")
     columns, signs = _gather_layout(level)
-    if (_max_abs(xs) * _max_abs(ys)) << level < 1 << 62:
+    if bound < 1 << 62:
         xs, ys = xs.astype(np.int64, copy=False), ys.astype(np.int64, copy=False)
     else:
         xs, ys, signs = xs.astype(object), ys.astype(object), signs.astype(object)
@@ -225,11 +233,11 @@ def mul_batch(level: int, xs, ys) -> np.ndarray:
     if len(used) < dim:  # a dense left factor is read in place, not copied
         xs, columns, signs = xs.take(used, axis=1), columns[:, used], signs.take(used, axis=1)
     step = max(1, _GATHER_BLOCK // (dim * max(1, len(used))))
-    out = np.empty((len(xs), dim), dtype=xs.dtype)
-    for start in range(0, len(xs), step):
-        block = slice(start, start + step)
-        np.einsum("ni,nki,ki->nk", xs[block], ys[block, columns], signs, out=out[block])
-    return out
+    blocks = [  # one at least, so an empty batch gives an empty (0, dim) array
+        np.einsum("ni,nki,ki->nk", xs[n : n + step], ys[n : n + step, columns], signs)
+        for n in range(0, max(1, len(xs)), step)
+    ]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 class _FrozenSlots:

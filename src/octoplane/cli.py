@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import properties, projective, topology
-from .algebra import CDNumber, build_table, cd_to_json
+from .algebra import CDNumber, _max_size, build_table, cd_to_json
 
 AUDIT_PROPERTIES = (
     "commutative",
@@ -124,7 +124,7 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
     dim = args.level
     level = projective.level_for_dim(dim)
     rng = random.Random(args.seed)
-    max_error = 0.0
+    errors = []
     for m in range(3):
         f = projective.Functional(*(float(i == m) for i in range(3)))
         for _ in range(args.samples):
@@ -132,10 +132,11 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
             v = CDNumber(level, tuple(rng.gauss(0.0, 1.0) for _ in range(dim)))
             p = projective.chart_backward(f, u, v)
             u2, v2 = projective.chart_forward(f, p)
-            max_error = max(max_error, (u2 - u).max_abs(), (v2 - v).max_abs())
+            errors += [(u2 - u).max_abs(), (v2 - v).max_abs()]
             q = projective.equivalent_representative(p, rng)
             u3, v3 = projective.chart_forward(f, q)
-            max_error = max(max_error, (u3 - u2).max_abs(), (v3 - v2).max_abs())
+            errors += [(u3 - u2).max_abs(), (v3 - v2).max_abs()]
+    max_error = _max_size(errors)  # NaN when an error is NaN
     return _report_sampled(
         args,
         max_error,
@@ -147,24 +148,20 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     dim = args.level
     rng = random.Random(args.seed)
-    max_error = 0.0
-    unseparated = None
+    errors, unseparated = [], None
     for n in range(args.samples):
         p = projective.random_triple_point(dim, rng)
         q = projective.equivalent_representative(p, rng)
         r = projective.equivalent_representative(q, rng)
         inv_p = projective.invariants_of(p)
-        max_error = max(
-            max_error,
-            inv_p.max_difference(projective.invariants_of(q)),
-            inv_p.max_difference(projective.invariants_of(r)),
-        )
+        errors += [inv_p.max_difference(projective.invariants_of(w)) for w in (q, r)]
         other = projective.random_triple_point(dim, rng)
         try:
             projective.separating_functional(p, other)
         except projective.SeparationError:
             if unseparated is None:
                 unseparated = n
+    max_error = _max_size(errors)  # NaN when an error is NaN
     text = (
         f"equivalence invariance, dimension {dim}: max drift {max_error:.3e} "
         f"over {args.samples} samples"

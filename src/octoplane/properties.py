@@ -2,13 +2,14 @@
 
 Each identity is written once, as a predicate on two or three elements
 that is true when they violate it.  The predicates run on one carrier,
-``_Batch``: N elements of a level as the rows of an integer array, with
-products from ``algebra.mul_batch``.  One chunk loop, ``_first_hit``,
-judges every candidate: it asks a candidate stream for a chunk of
-tuples, 64 at first and doubling up to 512, calls the predicate once on
-the chunk, and stops at the first violating row.  That row counts as one
-candidate more than those before it, exactly as a walk one candidate at
-a time counts.
+``_Batch``: N elements of a level as the rows of an integer array, with a
+bound on their entries that each stream states and each product
+(``algebra._mul_rows``) derives from its factors'.  One chunk loop,
+``_first_hit``, judges every candidate: it asks a candidate stream for a
+chunk of tuples, 64 at first and doubling up to 512, calls the predicate
+once on the chunk, and stops at the first violating row.  That row
+counts as one candidate more than those before it, exactly as a walk
+one candidate at a time counts.
 
 The sweep of the five identity checkers reads three streams, in order:
 
@@ -41,11 +42,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _integer_rows, _signs, cd_to_json, mul_batch
+from .algebra import CDNumber, _integer_rows, _max_abs, _mul_rows, _signs, cd_to_json, mul_batch
 from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
 MAX_CHECK_LEVEL = 6
@@ -133,19 +135,24 @@ class _Batch:
     """N elements of one level, held as the rows of an integer array.
 
     Implements just what the identity predicates use, row by row: products
-    through ``mul_batch``, ``!=`` as a boolean array that is true where two
-    rows differ, and ``norm_sq``.  One call of a predicate on batches then
-    judges a whole chunk of candidates, exactly.
+    through ``algebra._mul_rows``, ``!=`` as a boolean array that is true
+    where two rows differ, and ``norm_sq``.  One call of a predicate on
+    batches then judges a whole chunk of candidates, exactly.  ``bound``
+    bounds |entry| and is carried, not measured: a product's is bx * by <<
+    level, since each coordinate sums 2^level terms +/- x_i y_j; it alone
+    picks int64 or Python ints.
     """
 
-    __slots__ = ("level", "rows")
+    __slots__ = ("level", "rows", "bound")
 
-    def __init__(self, level: int, rows: np.ndarray):
+    def __init__(self, level: int, rows: np.ndarray, bound: int):
         self.level = level
         self.rows = rows
+        self.bound = bound
 
     def __mul__(self, other: "_Batch") -> "_Batch":
-        return _Batch(self.level, mul_batch(self.level, self.rows, other.rows))
+        bound = self.bound * other.bound << self.level
+        return _Batch(self.level, _mul_rows(self.level, self.rows, other.rows, bound), bound)
 
     def __ne__(self, other: "_Batch") -> np.ndarray:
         return (self.rows != other.rows).any(axis=1)
@@ -153,13 +160,13 @@ class _Batch:
     def norm_sq(self) -> np.ndarray:
         rows = self.rows
         # below 2^31 a product of two norms still fits in int64
-        if rows.size and int(abs(rows).max()) ** 2 << self.level >= 1 << 31:
+        if self.bound**2 << self.level >= 1 << 31:
             rows = rows.astype(object)
         return (rows * rows).sum(axis=1)
 
 
 #: Candidates are judged in chunks that start small, so an early witness
-#: costs little, and double up to a cap; ``mul_batch`` bounds the memory
+#: costs little, and double up to a cap; ``_mul_rows`` bounds the memory
 #: of each product within a chunk.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 512
@@ -170,20 +177,20 @@ _Candidates = Callable[[int, int], list[np.ndarray]]
 
 
 def _first_hit(
-    level: int, total: int, candidates: _Candidates, violates: Callable[..., np.ndarray]
+    level: int, total: int, candidates: _Candidates, bound: int, violates: Callable[..., np.ndarray]
 ) -> tuple[int, Optional[tuple[CDNumber, ...]]]:
     """Judge candidates 0 .. total - 1 of a stream in chunks, in order.
 
-    Each chunk is one call of ``violates`` on ``_Batch`` slots.  Returns how
-    many candidates were judged through the first violating one, as a walk
-    one candidate at a time counts them, and that candidate; or total and
-    None when none violates.
+    Each chunk is one call of ``violates`` on ``_Batch`` slots whose entries
+    the stream keeps within ``bound``.  Returns how many candidates were
+    judged through the first violating one, as a walk one candidate at a
+    time counts them, and that candidate; or total and None when none does.
     """
     start, size = 0, _FIRST_CHUNK
     while start < total:
         stop = min(start + size, total)
         slots = candidates(start, stop)
-        hits = violates(*(_Batch(level, rows) for rows in slots))
+        hits = violates(*(_Batch(level, rows, bound) for rows in slots))
         first = int(hits.argmax())
         if hits[first]:
             return start + first + 1, tuple(CDNumber(level, rows[first].tolist()) for rows in slots)
@@ -205,6 +212,7 @@ def _ordered_tuples(rows: np.ndarray, arity: int) -> _Candidates:
     return candidates
 
 
+@lru_cache(maxsize=None)
 def _two_term_rows(level: int) -> np.ndarray:
     """The two-term signed basis sums e_i + s*e_j at ``level``, one row of
     coordinates each: i < j in lexicographic order, s = +1 before s = -1."""
@@ -214,6 +222,7 @@ def _two_term_rows(level: int) -> np.ndarray:
     n = np.arange(len(rows))
     rows[n, i.repeat(2)] = 1
     rows[n, j.repeat(2)] = np.tile((1, -1), len(i))
+    rows.flags.writeable = False  # shared between calls
     return rows
 
 
@@ -228,15 +237,17 @@ def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
     """The stream of ``arity``-tuples of seeded ``random_exact`` draws, in
     the order a walk one tuple at a time draws them.
 
-    Coordinates are drawn as ``random_exact`` draws them, one ``randint``
-    each, without building the elements, and only as the stream is read;
-    so it must be read in order, from candidate 0 on.
+    Each coordinate is drawn as CPython's ``randint`` draws it, without
+    the call layers: ``getrandbits`` of the width's bit length, drawn again
+    until below the width.  No element is built, and only what is read is
+    drawn, so the stream must be read in order, from candidate 0 on.
     """
-    rng, span = random.Random(seed), RANDOM_EXACT_SPAN
+    rng, span, width = random.Random(seed), RANDOM_EXACT_SPAN, 2 * RANDOM_EXACT_SPAN + 1
+    bits = map(rng.getrandbits, itertools.repeat(width.bit_length()))
 
     def candidates(start: int, stop: int) -> list[np.ndarray]:
         count = (stop - start) * arity << level
-        draws = np.fromiter((rng.randint(-span, span) for _ in range(count)), np.int64, count)
+        draws = np.fromiter((r - span for r in bits if r < width), np.int64, count)
         rows = draws.reshape(stop - start, arity, 1 << level)
         return [rows[:, k] for k in range(arity)]
 
@@ -262,14 +273,14 @@ def _sweep(
     """
     _check_arguments(level, samples, MAX_CHECK_LEVEL)
     dim = 1 << level
-    phases = [(dim**arity, _ordered_tuples(np.eye(dim, dtype=np.int64), arity))]
+    phases = [(dim**arity, _ordered_tuples(np.eye(dim, dtype=np.int64), arity), 1)]
     if two_term and level >= 4:
         rows = _two_term_rows(level)
-        phases.append((len(rows) ** arity, _ordered_tuples(rows, arity)))
-    phases.append((samples, _random_tuples(level, seed, arity)))
+        phases.append((len(rows) ** arity, _ordered_tuples(rows, arity), 1))
+    phases.append((samples, _random_tuples(level, seed, arity), RANDOM_EXACT_SPAN))
     tested = 0
-    for phase, (total, candidates) in enumerate(phases):
-        judged, hit = _first_hit(level, total, candidates, violates)
+    for phase, (total, candidates, bound) in enumerate(phases):
+        judged, hit = _first_hit(level, total, candidates, bound, violates)
         tested += total if phase == 0 else judged  # the basis phase counts whole
         if hit is not None:
             return PropertyReport(name, level, "fails", hit, tested)
@@ -374,48 +385,53 @@ def check_division(level: int) -> PropertyReport:
     return PropertyReport("division", level, "holds", None, scanned)
 
 
-def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
-    """Subset of the input spanning the same linear space, by exact elimination.
+def _extend_echelon(pivots: list[tuple[int, list[int]]], coords: Iterable[int]) -> bool:
+    """Add integer ``coords`` to the echelon ``pivots`` if they raise its span.
 
-    The coordinates must be integers, as the sweep draws them.  Elimination
-    is fraction-free: a row is cross-multiplied with a pivot row and then
-    divided by the gcd of its entries, so each reduced vector is a nonzero
-    multiple of the one rational elimination gives, with the same zeros,
-    and the same elements are kept.
+    Elimination is fraction-free: the row is cross-multiplied with each
+    pivot row and then divided by the gcd of its entries, so the reduced
+    vector is a nonzero multiple of the one rational elimination gives,
+    with the same zeros.  Returns whether a pivot row was added.
     """
-    rows: list[tuple[int, list[int]]] = []
-    basis = []
-    for el in elements:
-        v = list(el.coords)
-        for pidx, prow in rows:
-            a = v[pidx]
-            if a:
-                b = prow[pidx]
-                v = [b * c - a * d for c, d in zip(v, prow)]
-        g = math.gcd(*v)
-        if g:
-            rows.append((next(k for k, c in enumerate(v) if c), [c // g for c in v]))
-            basis.append(el)
-    return basis
+    v = list(coords)
+    for pidx, prow in pivots:
+        a = v[pidx]
+        if a:
+            b = prow[pidx]
+            v = [b * c - a * d for c, d in zip(v, prow)]
+    g = math.gcd(*v)
+    if g:
+        pivots.append((next(k for k, c in enumerate(v) if c), [c // g for c in v]))
+    return bool(g)
+
+
+def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
+    """Subset of integer input spanning the same space, kept by ``_extend_echelon``."""
+    pivots: list[tuple[int, list[int]]] = []
+    return [el for el in elements if _extend_echelon(pivots, el.coords)]
 
 
 def _subalgebra_basis(x: CDNumber, y: CDNumber) -> list[CDNumber]:
     """A basis of the subalgebra that x, y, x* and y* generate, exactly.
 
-    Starts from a spanning subset of {x, y, x*, y*}; each round forms every
-    ordered product of two basis elements, first factor major, as one batch
-    (``mul_batch``) and keeps the products that raise the span.  The span
-    of the basis is closed under products once a round keeps none, and
-    every other round adds a dimension, so there are at most 2^level
-    rounds.  Coordinates must be integers.
+    Starts from a spanning subset of {x, y, x*, y*}; each round forms the
+    ordered products of two basis elements, first factor major, as one
+    batch (``mul_batch``) and keeps those that raise the span.  Products
+    of elements older than the last round lie in the span already, so
+    they are left out.  The span is closed once a round keeps none or it
+    fills the algebra, so there are at most 2^level rounds.  Coordinates
+    must be integers.
     """
-    level = x.level
-    basis, size = _greedy_span_basis([x, y, x.conj(), y.conj()]), 0
-    while size < len(basis):
+    level, dim, pivots, old = x.level, 1 << x.level, [], 0
+    basis = [el for el in (x, y, x.conj(), y.conj()) if _extend_echelon(pivots, el.coords)]
+    while old < len(basis) < dim:
         size = len(basis)
-        rows = _integer_rows([b.coords for b in basis], 1 << level)
-        products = mul_batch(level, rows.repeat(size, axis=0), np.tile(rows, (size, 1)))
-        basis = _greedy_span_basis(basis + [CDNumber(level, p) for p in products.tolist()])
+        rows = _integer_rows([b.coords for b in basis], dim)
+        first, second = np.divmod(np.arange(size * size), size)
+        new = (first >= old) | (second >= old)
+        products = mul_batch(level, rows[first[new]], rows[second[new]]).tolist()
+        basis += [CDNumber(level, p) for p in products if _extend_echelon(pivots, p)]
+        old = size
     return basis
 
 
@@ -444,7 +460,8 @@ def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -
             if not basis:  # x = y = 0 generate {0}, with no triple to test
                 continue
             rows = _integer_rows([b.coords for b in basis], 1 << level)
-            _, triple = _first_hit(level, len(rows) ** 3, _ordered_tuples(rows, 3), _nonassociating)
+            triples = _ordered_tuples(rows, 3)
+            _, triple = _first_hit(level, len(rows) ** 3, triples, _max_abs(rows), _nonassociating)
             if triple is not None:
                 return PropertyReport(name, level, "fails", triple, tested)
     return PropertyReport(name, level, "holds", None, tested)

@@ -446,6 +446,11 @@ def test_basis_element_examples():
         basis_element(3, -1)
 
 
+def test_constructor_names_the_coordinates_a_level_needs():
+    with pytest.raises(ValueError, match="level 3 needs 8 coordinates, got 2"):
+        CDNumber(3, (1, 2))
+
+
 def test_embed_examples():
     assert embed(e(1, 1), 3) == e(3, 1)
     x = random_exact(2, random.Random(8))
@@ -478,6 +483,9 @@ def test_table_quaternions():
     for j in range(4):
         assert t.entry(0, j) == (1, j)
         assert t.entry(j, 0) == (1, j)
+    for i, j in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            t.entry(i, j)
 
 
 def test_table_rows_are_signed_permutations():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from octoplane import cli, projective, topology
+from octoplane.algebra import CDNumber
 from octoplane.cli import main
 
 # the output pins: each entry is a CLI argv or a demo path with the sha256 of its stdout
@@ -287,3 +288,25 @@ def test_mathematical_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(topology, "linking_hopf_invariant", off_integer)
     assert main(["hopf", "--mode", "linking"]) == 1
     assert "too far from an integer" in capsys.readouterr().err
+
+
+def test_sampled_checks_fail_on_a_nan_error(capsys, monkeypatch):
+    # a NaN error must fail the check, not fold away below a finite one
+    calls = [0]
+    chart_forward = projective.chart_forward
+
+    def nan_on_second_call(f, p):
+        calls[0] += 1
+        u, v = chart_forward(f, p)
+        if calls[0] == 2:
+            u = CDNumber(u.level, (math.nan,) + u.coords[1:])
+        return u, v
+
+    monkeypatch.setattr(projective, "chart_forward", nan_on_second_call)
+    code, doc = run_json(capsys, "chart-roundtrip", "--level", "2", "--samples", "3", "--seed", "3")
+    assert code == 1 and doc["verdict"] == "fail" and math.isnan(doc["max_error"])
+
+    drifts = iter([0.0, math.nan])
+    monkeypatch.setattr(projective.InvariantSextuple, "max_difference", lambda s, o: next(drifts, 0.0))
+    code, doc = run_json(capsys, "equiv-check", "--level", "4", "--samples", "3", "--seed", "3")
+    assert code == 1 and doc["verdict"] == "fail" and math.isnan(doc["max_error"])

@@ -655,3 +655,37 @@ def test_random_triple_point_is_valid_member():
         p = random_triple_point(dim, rng)
         total = p.x.norm_sq() + p.y.norm_sq() + p.z.norm_sq()
         assert abs(total - 1.0) < TOL
+
+
+def test_random_triple_point_anchor_coefficient_is_uniform_in_size(monkeypatch):
+    functionals = []
+
+    def recording(f, u, v):
+        functionals.append(f)
+        return chart_backward(f, u, v)
+
+    monkeypatch.setattr(projective, "chart_backward", recording)
+    rng = random.Random(23)
+    for _ in range(400):
+        random_triple_point(1, rng)
+    sizes = [abs(f.coefficients()[f.anchor()]) for f in functionals]
+    assert all(0.5 <= s <= 2.0 for s in sizes)
+    assert all(sum(c != 0.0 for c in f.coefficients()) == 1 for f in functionals)
+    # uniform on [0.5, 2.0], so about half the sizes lie above the middle,
+    # 1.25; its reciprocal, on the same range, would put a fifth there
+    assert 0.4 < sum(s > 1.25 for s in sizes) / len(sizes) < 0.6
+
+
+@pytest.mark.parametrize(
+    "entries, products",
+    [((1, 2), 1), ((1, 2, 4), 3)],
+    ids=["pair", "triple"],
+)
+def test_random_unit_in_subalgebra_spans_every_pair_product(entries, products):
+    # e1, e2 and e4 and their pair products e1e2, e1e4 and e2e4 lie on distinct
+    # octonion axes, so units drawn from the span of 1, the entries and their
+    # pair products fill all of them
+    elements = [basis_element(3, i) for i in entries]
+    rng = random.Random(29)
+    units = [projective.random_unit_in_subalgebra(elements, rng).coords for _ in range(20)]
+    assert np.linalg.matrix_rank(np.array(units)) == 1 + len(entries) + products

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -8,11 +9,17 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from octoplane.algebra import CDNumber, basis_element, cd_to_json
+from octoplane.algebra import CDNumber, basis_element, cd_to_json, mul_batch
 from octoplane.properties import (
+    RANDOM_EXACT_SPAN,
     _Batch,
     _first_hit,
     _greedy_span_basis,
+    _nonalternative,
+    _nonassociating,
+    _noncommuting,
+    _nonflexible,
+    _norm_nonmultiplicative,
     _ordered_tuples,
     _random_tuples,
     _subalgebra_basis,
@@ -299,6 +306,7 @@ def test_two_generated_reports_pinned(level):
             "counterexample": None if level <= 3 else _TWO_GENERATED_WITNESS,
         }
         assert report.to_json() == expected, (seed, samples)
+        assert report.matches_expectation()
         if level == 4:
             a, b, c = (w.coords for w in report.counterexample)
             assert ref_mul(ref_mul(a, b), c) != ref_mul(a, ref_mul(b, c))
@@ -379,6 +387,8 @@ def test_subalgebra_basis_known_dimensions():
     assert len(_subalgebra_basis(x, y)) == 4
     # e1 and e2 generate the quaternions inside the sedenions too
     assert len(_subalgebra_basis(e(4, 1), e(4, 2))) == 4
+    # e1 alone generates a copy of the complex numbers, through e1 e1 = -1
+    assert len(_subalgebra_basis(e(2, 1), CDNumber.zero(2))) == 2
     # non-negative coordinates past int64 take no float or unsigned detour
     assert len(_subalgebra_basis(CDNumber(2, (2**63, 0, 0, 0)), e(2, 1))) == 2
 
@@ -386,10 +396,81 @@ def test_subalgebra_basis_known_dimensions():
 def test_batch_norms_stay_exact_past_int64():
     # the norm predicate multiplies two norms, so large rows leave int64
     rows = np.array([[2**40, 3, 0, -(2**35)], [1, 1, 1, 1]], dtype=np.int64)
-    norms = _Batch(2, rows).norm_sq()
+    norms = _Batch(2, rows, 2**40).norm_sq()
     expected = [sum(c * c for c in row) for row in rows.tolist()]
     assert norms.tolist() == expected
     assert (norms * norms).tolist() == [n * n for n in expected]
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_batch_norms_stay_exact_at_the_int64_switch(level):
+    # equal entries just under the switch's sqrt(2^32 >> level): norms near
+    # 2^32, whose products need Python ints
+    v = math.isqrt((1 << 32) - 1 >> level)
+    rows = np.full((2, 1 << level), v, dtype=np.int64)
+    rows[1, 0] = -v
+    norms = _Batch(level, rows, v).norm_sq()
+    assert norms.tolist() == [v * v << level] * 2
+    assert (norms * norms).tolist() == [(v * v << level) ** 2] * 2
+
+
+class _CheckedBatch(_Batch):
+    """A ``_Batch`` whose products and norms are checked as they are made:
+    the carried bound covers every entry, and the rows are those of
+    ``mul_batch`` and the oracle."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        product = super().__mul__(other)
+        rows = product.rows.tolist()
+        assert product.bound >= max(abs(c) for row in rows for c in row)
+        assert rows == mul_batch(self.level, self.rows, other.rows).tolist()
+        pairs = zip(self.rows.tolist(), other.rows.tolist())
+        assert rows == [list(ref_mul(tuple(x), tuple(y))) for x, y in pairs]
+        return _CheckedBatch(self.level, product.rows, product.bound)
+
+    def norm_sq(self):
+        norms = super().norm_sq()
+        assert norms.tolist() == [sum(c * c for c in row) for row in self.rows.tolist()]
+        return norms
+
+
+#: Each checker's identity predicate; REF_VIOLATIONS holds its oracle.
+PREDICATES = {
+    check_commutative: _noncommuting,
+    check_associative: _nonassociating,
+    check_alternative: _nonalternative,
+    check_flexible: _nonflexible,
+    check_norm_multiplicative: _norm_nonmultiplicative,
+}
+
+
+@st.composite
+def predicate_slots(draw, scale):
+    """A checker, a level and its predicate's slots: (N, 2^level) int64 rows
+    whose entries lie within 9 of +/-scale."""
+    checker = draw(st.sampled_from(list(PREDICATES)))
+    level, count = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    entry = st.builds(lambda d, s: s * (scale + d), st.integers(-9, 9), st.sampled_from((1, -1)))
+    cells = st.lists(entry, min_size=count << level, max_size=count << level)
+    arity = REF_VIOLATIONS[checker][0]
+    return checker, level, [
+        np.array(draw(cells), dtype=np.int64).reshape(count, 1 << level) for _ in range(arity)
+    ]
+
+
+# products of norms leave int64 from entries near 2^16 on, products from 2^31
+@pytest.mark.parametrize("scale", [0, 2**16, 2**31, 2**62 - 16])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_carried_bounds_cover_every_product_of_every_predicate(scale, data):
+    checker, level, slots = data.draw(predicate_slots(scale))
+    bound = max(int(abs(rows).max()) for rows in slots)
+    hits = PREDICATES[checker](*(_CheckedBatch(level, rows, bound) for rows in slots))
+    _, violates = REF_VIOLATIONS[checker]
+    tuples = zip(*(map(tuple, rows.tolist()) for rows in slots))
+    assert hits.tolist() == [violates(*t) for t in tuples]
 
 
 # -- reports -------------------------------------------------------------------
@@ -528,14 +609,16 @@ def _ordered_walk(level, rows, arity):
     return list(itertools.product(elements, repeat=arity))
 
 
-#: (name, level, total, a fresh stream, its candidates walked one at a time);
-#: a random stream is read once, from its start, so each test builds its own
+#: (name, level, total, a fresh stream, its entry bound, its candidates walked
+#: one at a time); a random stream is read once, from its start, so each test
+#: builds its own
 CHUNK_STREAMS = [
-    ("basis", 3, 8**3, lambda: _ordered_tuples(np.eye(8, dtype=np.int64), 3),
+    ("basis", 3, 8**3, lambda: _ordered_tuples(np.eye(8, dtype=np.int64), 3), 1,
      lambda: _ordered_walk(3, np.eye(8, dtype=np.int64), 3)),
-    ("two-term", 3, 56**2, lambda: _ordered_tuples(_two_term_rows(3), 2),
+    ("two-term", 3, 56**2, lambda: _ordered_tuples(_two_term_rows(3), 2), 1,
      lambda: _ordered_walk(3, _two_term_rows(3), 2)),
-    ("random", 2, 300, lambda: _random_tuples(2, 5, 2), lambda: _random_walk(2, 5, 2, 300)),
+    ("random", 2, 300, lambda: _random_tuples(2, 5, 2), RANDOM_EXACT_SPAN,
+     lambda: _random_walk(2, 5, 2, 300)),
 ]
 
 
@@ -544,14 +627,28 @@ CHUNK_STREAMS = [
 def test_first_hit_counts_across_chunk_boundaries(stream, k):
     # chunks hold 64, 128, 256, then 512 candidates: 64 and 192 end a chunk,
     # 65 and 193 open the next
-    _, level, total, candidates, walk = stream
+    _, level, total, candidates, bound, walk = stream
     k = total if k == "last" else k
-    count, hit = _first_hit(level, total, candidates(), _fires_at(k))
+    count, hit = _first_hit(level, total, candidates(), bound, _fires_at(k))
     assert count == k
     assert hit == walk()[k - 1]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42, 4242])
+def test_random_stream_draws_as_randint_draws(seed):
+    # the stream draws what random_exact's randint calls would, read in two
+    # chunks as _first_hit reads it; a Python that draws otherwise fails here
+    span = RANDOM_EXACT_SPAN
+    for level, arity in itertools.product(range(7), (2, 3)):
+        candidates, rng = _random_tuples(level, seed, arity), random.Random(seed)
+        slots = [candidates(0, 3), candidates(3, 8)]
+        drawn = [[s[n].tolist() for s in chunk] for chunk in slots for n in range(len(chunk[0]))]
+        walk = [[[rng.randint(-span, span) for _ in range(1 << level)] for _ in range(arity)]
+                for _ in range(8)]
+        assert drawn == walk
+
+
 @pytest.mark.parametrize("stream", CHUNK_STREAMS, ids=lambda s: s[0])
 def test_first_hit_without_a_hit_judges_every_candidate(stream):
-    _, level, total, candidates, _ = stream
-    assert _first_hit(level, total, candidates(), _fires_at(0)) == (total, None)
+    _, level, total, candidates, bound, _ = stream
+    assert _first_hit(level, total, candidates(), bound, _fires_at(0)) == (total, None)
