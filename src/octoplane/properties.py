@@ -31,9 +31,10 @@ output relies on it.
 The two-generated check is no identity on a fixed number of elements,
 so it walks its candidate pairs one at a time: the first 512 two-term
 pairs at level 4, then seeded random pairs.  Each pair is closed exactly
-under products, as a basis of the subalgebra it generates, and the same
-chunk loop tests the associator on every triple of basis elements.  It
-shares the sweep's argument check and random stream.
+under ``_Batch`` products, into the integer rows of a basis of the
+subalgebra it generates, and the same chunk loop tests the associator on
+every triple of those rows.  It shares the sweep's argument check and
+random stream.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _integer_rows, _max_abs, _mul_rows, _signs, cd_to_json, mul_batch
+from .algebra import CDNumber, _max_abs, _mul_rows, _signs, cd_to_json
 from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
 MAX_CHECK_LEVEL = 6
@@ -405,32 +406,30 @@ def _extend_echelon(pivots: list[tuple[int, list[int]]], coords: Iterable[int]) 
     return bool(g)
 
 
-def _greedy_span_basis(elements: Iterable[CDNumber]) -> list[CDNumber]:
-    """Subset of integer input spanning the same space, kept by ``_extend_echelon``."""
-    pivots: list[tuple[int, list[int]]] = []
-    return [el for el in elements if _extend_echelon(pivots, el.coords)]
+def _subalgebra_basis(level: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows of a basis of the subalgebra that integer rows x, y, x* and y* generate.
 
-
-def _subalgebra_basis(x: CDNumber, y: CDNumber) -> list[CDNumber]:
-    """A basis of the subalgebra that x, y, x* and y* generate, exactly.
-
-    Starts from a spanning subset of {x, y, x*, y*}; each round forms the
-    ordered products of two basis elements, first factor major, as one
-    batch (``mul_batch``) and keeps those that raise the span.  Products
-    of elements older than the last round lie in the span already, so
-    they are left out.  The span is closed once a round keeps none or it
-    fills the algebra, so there are at most 2^level rounds.  Coordinates
-    must be integers.
+    Starts from the rows of x, y, x* and y* that ``_extend_echelon`` keeps
+    (a conjugate negates entries 1 and up, so an int64 row must not hold
+    -2^63); each round forms the ordered products of two basis rows, first
+    factor major, as one ``_Batch`` product, and appends those that raise
+    the span.  Products of rows older than the last round lie in the span
+    already, so they are left out.  The span is closed once a round keeps
+    none or it fills the algebra, so there are at most 2^level rounds;
+    x = y = 0 give no rows.
     """
-    level, dim, pivots, old = x.level, 1 << x.level, [], 0
-    basis = [el for el in (x, y, x.conj(), y.conj()) if _extend_echelon(pivots, el.coords)]
+    dim, pivots, old = 1 << level, [], 0
+    start = np.stack((x, y, x, y))
+    start[2:, 1:] *= -1
+    basis = start[[_extend_echelon(pivots, row) for row in start.tolist()]]
     while old < len(basis) < dim:
-        size = len(basis)
-        rows = _integer_rows([b.coords for b in basis], dim)
+        size, bound = len(basis), _max_abs(basis)
         first, second = np.divmod(np.arange(size * size), size)
         new = (first >= old) | (second >= old)
-        products = mul_batch(level, rows[first[new]], rows[second[new]]).tolist()
-        basis += [CDNumber(level, p) for p in products if _extend_echelon(pivots, p)]
+        left, right = (_Batch(level, basis[k[new]], bound) for k in (first, second))
+        products = (left * right).rows
+        kept = [_extend_echelon(pivots, p) for p in products.tolist()]
+        basis = np.concatenate((basis, products[kept]))
         old = size
     return basis
 
@@ -455,13 +454,9 @@ def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -
     for total, candidates in phases:
         for n in range(total):
             tested += 1
-            x, y = (CDNumber(level, slot[0].tolist()) for slot in candidates(n, n + 1))
-            basis = _subalgebra_basis(x, y)
-            if not basis:  # x = y = 0 generate {0}, with no triple to test
-                continue
-            rows = _integer_rows([b.coords for b in basis], 1 << level)
-            triples = _ordered_tuples(rows, 3)
-            _, triple = _first_hit(level, len(rows) ** 3, triples, _max_abs(rows), _nonassociating)
+            basis = _subalgebra_basis(level, *(slot[0] for slot in candidates(n, n + 1)))
+            triples, bound = _ordered_tuples(basis, 3), _max_abs(basis)  # none if x = y = 0
+            _, triple = _first_hit(level, len(basis) ** 3, triples, bound, _nonassociating)
             if triple is not None:
                 return PropertyReport(name, level, "fails", triple, tested)
     return PropertyReport(name, level, "holds", None, tested)

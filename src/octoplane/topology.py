@@ -42,14 +42,17 @@ class GeometryError(RuntimeError):
 
 def _to_int_matrix(matrix) -> Matrix:
     rows = []
-    for row in matrix:
-        out = []
-        for v in row:
-            iv = int(v)
-            if iv != v:
-                raise ValueError(f"matrix entry {v!r} is not an integer")
-            out.append(iv)
-        rows.append(out)
+    try:
+        for row in matrix:
+            out = []
+            for v in row:
+                iv = int(v)
+                if iv != v:
+                    raise ValueError(f"matrix entry {v!r} is not an integer")
+                out.append(iv)
+            rows.append(out)
+    except OverflowError:  # int() of an infinity
+        raise ValueError(f"matrix entry {v!r} is not an integer") from None
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise ValueError("ragged matrix")

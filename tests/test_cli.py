@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from octoplane import cli, projective, topology
+from octoplane import cli, projective, properties, topology
 from octoplane.algebra import CDNumber
 from octoplane.cli import main
 
@@ -74,6 +74,10 @@ def test_zero_divisors_text_mode_serialises_nothing(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cd_to_json", refuse)
     code, out = run(capsys, "zero-divisors", "--level", "4")
     assert code == 0 and out.startswith("level 4: 336 zero-divisor pairs\n")
+    # ten pairs, then a count of the rest
+    lines = out.splitlines()
+    assert len(lines) == 12 and all(line.endswith(" = 0") for line in lines[1:11])
+    assert lines[11] == "  ... 326 more"
 
 
 def test_chart_roundtrip(capsys):
@@ -310,3 +314,35 @@ def test_sampled_checks_fail_on_a_nan_error(capsys, monkeypatch):
     monkeypatch.setattr(projective.InvariantSextuple, "max_difference", lambda s, o: next(drifts, 0.0))
     code, doc = run_json(capsys, "equiv-check", "--level", "4", "--samples", "3", "--seed", "3")
     assert code == 1 and doc["verdict"] == "fail" and math.isnan(doc["max_error"])
+
+
+def test_sampled_checks_fail_at_the_tolerance(capsys, monkeypatch):
+    # an error passes only below DEFAULT_TOL; one equal to it fails
+    tol = projective.DEFAULT_TOL
+    monkeypatch.setattr(projective.InvariantSextuple, "max_difference", lambda s, o: tol)
+    code, doc = run_json(capsys, "equiv-check", "--level", "4", "--samples", "3", "--seed", "3")
+    assert code == 1 and doc["verdict"] == "fail" and doc["max_error"] == tol
+
+
+def test_verdict_mismatches_exit_1(capsys, monkeypatch):
+    # a scan that finds no sedenion zero divisor contradicts the tower
+    monkeypatch.setattr(properties, "find_zero_divisors", lambda level: [])
+    code, doc = run_json(capsys, "zero-divisors", "--level", "4")
+    assert code == 1 and doc["match"] is False
+    code, doc = run_json(capsys, "audit-all", "--samples", "5")
+    assert code == 1 and doc["all_match"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["table"], 3),
+        (["check", "--property", "commutative", "--samples", "5"], 3),
+        (["zero-divisors"], 4),
+        (["chart-roundtrip", "--samples", "5"], 8),
+        (["equiv-check", "--samples", "5"], 8),
+    ],
+)
+def test_commands_fill_in_their_default_level(capsys, argv, level):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["level"] == level

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from octoplane.algebra import CDNumber, basis_element, cd_to_json, mul_batch
+from octoplane.algebra import CDNumber, _max_abs, basis_element, cd_to_json, mul_batch
 from octoplane.properties import (
     RANDOM_EXACT_SPAN,
     _Batch,
+    _extend_echelon,
     _first_hit,
-    _greedy_span_basis,
     _nonalternative,
     _nonassociating,
     _noncommuting,
@@ -344,12 +344,11 @@ def integer_vector_lists(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(integer_vector_lists())
-def test_greedy_span_basis_matches_rational_elimination(case):
-    level, vectors = case
-    elements = [CDNumber(level, v) for v in vectors]
-    basis = _greedy_span_basis(elements)
-    kept = [n for n, el in enumerate(elements) if any(el is b for b in basis)]
-    assert len(kept) == len(basis)
+def test_extend_echelon_matches_rational_elimination(case):
+    _, vectors = case
+    pivots = []
+    kept = [n for n, v in enumerate(vectors) if _extend_echelon(pivots, v)]
+    assert len(pivots) == len(kept)
     assert kept == ref_span_subset(vectors)
 
 
@@ -374,23 +373,60 @@ def test_subalgebra_basis_matches_oracle(level, seed, sparse):
     rng = random.Random(seed)
     x = _seeded_element(level, rng, sparse)
     y = _seeded_element(level, rng, sparse)
-    basis = [b.coords for b in _subalgebra_basis(CDNumber(level, x), CDNumber(level, y))]
+    basis = [tuple(b) for b in _subalgebra_basis(level, np.array(x), np.array(y)).tolist()]
     assert len(basis) == len(ref_subalgebra_basis(x, y)) == ref_rank(basis)
     # x and y lie in the span, and the span is closed under products
     products = [ref_mul(a, b) for a in basis for b in basis]
     assert ref_rank(basis + [x, y] + products) == len(basis)
 
 
+def unit_row(level, index):
+    return np.eye(1 << level, dtype=np.int64)[index]
+
+
 def test_subalgebra_basis_known_dimensions():
     # a generic octonion pair generates a quaternion subalgebra
-    x, y = (CDNumber(3, c) for c in ((1, 2, 0, -1, 3, 0, 1, 2), (0, 1, -2, 1, 1, 3, 0, -1)))
-    assert len(_subalgebra_basis(x, y)) == 4
+    x, y = np.array(((1, 2, 0, -1, 3, 0, 1, 2), (0, 1, -2, 1, 1, 3, 0, -1)))
+    assert _subalgebra_basis(3, x, y).shape == (4, 8)
     # e1 and e2 generate the quaternions inside the sedenions too
-    assert len(_subalgebra_basis(e(4, 1), e(4, 2))) == 4
+    assert _subalgebra_basis(4, unit_row(4, 1), unit_row(4, 2)).shape == (4, 16)
     # e1 alone generates a copy of the complex numbers, through e1 e1 = -1
-    assert len(_subalgebra_basis(e(2, 1), CDNumber.zero(2))) == 2
-    # non-negative coordinates past int64 take no float or unsigned detour
-    assert len(_subalgebra_basis(CDNumber(2, (2**63, 0, 0, 0)), e(2, 1))) == 2
+    assert _subalgebra_basis(2, unit_row(2, 1), np.zeros(4, np.int64)).tolist() == [
+        [0, 1, 0, 0],
+        [-1, 0, 0, 0],
+    ]
+
+
+def test_subalgebra_basis_takes_object_rows_past_int64():
+    # entries past int64 go in as Python ints, with no float or unsigned detour
+    x = np.array([2**63, 0, 0, 0], dtype=object)
+    basis = _subalgebra_basis(2, x, unit_row(2, 1))
+    assert basis.dtype == object
+    assert basis.tolist() == [[2**63, 0, 0, 0], [0, 1, 0, 0]]
+    # a product past int64 is kept exactly: e1 and 2^62 e2 make 2^62 e3
+    basis = _subalgebra_basis(2, unit_row(2, 1), (1 << 62) * unit_row(2, 2))
+    assert basis.tolist()[-1] == [0, 0, 0, 2**62]
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_zero_pair_generates_an_empty_basis_with_no_triple_to_judge(level):
+    zero = np.zeros(1 << level, dtype=np.int64)
+    basis = _subalgebra_basis(level, zero, zero)
+    assert basis.shape == (0, 1 << level)
+
+    def candidates(start, stop):
+        raise AssertionError(f"candidates {start} .. {stop - 1} drawn from an empty basis")
+
+    judged = _first_hit(level, len(basis) ** 3, candidates, _max_abs(basis), _nonassociating)
+    assert judged == (0, None)
+
+
+def test_two_generated_counts_a_zero_pair_and_holds():
+    # at level 0 a seeded pair is (0, 0) once in 361 draws on average
+    stream = _random_tuples(0, 0, 2)
+    n = next(n for n in itertools.count() if not any(s.any() for s in stream(n, n + 1)))
+    report = check_two_generated_associativity(0, n + 2, seed=0)
+    assert report.to_json()["samples"] == n + 2 and report.holds
 
 
 def test_batch_norms_stay_exact_past_int64():
@@ -548,12 +584,14 @@ def test_basis_phase_finds_first_failing_basis_tuple(checker, level):
         assert report.counterexample == tuple(e(level, i) for i in first)
 
 
-# -- the two-term phase at levels 5 and 6 ---------------------------------------
+# -- the two-term phase at levels 4 to 6 ----------------------------------------
 
 #: Reports whose witness the two-term phase finds, as the one-product-at-a-time
 #: sweep gave them: (checker, level, samples, nonzero coordinates of the witness).
 #: The phase needs no seed, so they hold for every seed and sample count.
 TWO_TERM_REPORTS = [
+    (check_alternative, 4, 333, ({0: 1, 1: 1}, {2: 1, 12: 1})),
+    (check_norm_multiplicative, 4, 11425, ({1: 1, 10: 1}, {4: 1, 15: 1})),
     (check_alternative, 5, 1165, ({0: 1, 1: 1}, {2: 1, 12: 1})),
     (check_alternative, 6, 4365, ({0: 1, 1: 1}, {2: 1, 12: 1})),
     (check_norm_multiplicative, 5, 78657, ({1: 1, 10: 1}, {4: 1, 15: 1})),

@@ -143,6 +143,15 @@ def test_snf_rejects_non_integers():
         smith_normal_form([[1.5]])
 
 
+@pytest.mark.parametrize("entry", [float("inf"), -float("inf")])
+def test_infinite_entries_are_rejected_as_non_integers(entry):
+    # int() of an infinity raises OverflowError; both entry points say ValueError
+    with pytest.raises(ValueError, match="is not an integer"):
+        smith_normal_form([[entry]])
+    with pytest.raises(ValueError, match="is not an integer"):
+        CWDescription([("v", 0), ("a", 1)], {1: [[entry]]})
+
+
 # -- abelian groups --------------------------------------------------------------
 
 
@@ -173,6 +182,7 @@ def test_coefficient_spec():
     assert CoefficientSpec.parse("Z") == INTEGERS
     assert CoefficientSpec.parse("Q") == RATIONALS
     assert CoefficientSpec.parse("Zmod:6").modulus == 6
+    assert [str(c) for c in (INTEGERS, RATIONALS, CoefficientSpec.parse("Zmod:6"))] == ["Z", "Q", "Z/6"]
     with pytest.raises(ValueError):
         CoefficientSpec.parse("Zmod:1")
     with pytest.raises(ValueError):
@@ -383,6 +393,13 @@ def test_profile_factors_each_boundary_once(monkeypatch):
                 read.clear()
                 assert cohomology(cw, k, coeffs) == group
                 assert set(read) <= {k, k + 1}
+
+
+def test_boundaries_with_an_empty_side_are_left_out():
+    # boundary_d with no d-cells or no (d-1)-cells is zero, so it is not factored
+    torus = CWDescription([("v", 0), ("a", 1), ("b", 1), ("f", 2)], {1: [[0, 0]], 2: [[0], [0]]})
+    assert topology._boundary_factors(torus, range(-1, 5)) == {1: (), 2: ()}
+    assert topology._boundary_factors(builtin_cw("OP2"), range(18)) == {}
 
 
 def test_cohomology_profile_shape():
