@@ -17,8 +17,11 @@ A scalar product (``CDNumber.__mul__``, through ``_mul_coords``) follows
 one rule: output k is ``0 +/- x0*y(0^k) +/- x1*y(1^k) ...``, i ascending,
 with every term made, zero factors included.  Levels 1 to
 ``TABLE_LEVEL_CAP`` run it as a straight-line expression compiled once per
-level from those signs, and higher levels as a plain loop.  Integer
-batches take ``mul_batch``.
+level from those signs, and higher levels as a plain loop.  Batches of
+integer elements take ``_Batch``, the exact batch kernel: one gather of
+signed products per batch, in int64 or Python ints as the carried entry
+bound allows.  ``left_mult_matrix`` and ``right_mult_matrix`` read the
+same gather layout.
 
 Coordinates may be exact (int / Fraction, no rounding anywhere) or
 double-precision floats.  All values are immutable and every operation
@@ -28,7 +31,6 @@ is a pure function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,86 +160,82 @@ def _max_abs(rows: np.ndarray) -> int:
     return max(int(rows.max()), -int(rows.min())) if rows.size else 0
 
 
-def _python_int(c) -> int:
-    """``c`` as an int; a bool, float or Fraction raises TypeError."""
-    if isinstance(c, bool):
-        raise TypeError("batched products take integer coordinates, got a bool")
-    return operator.index(c)
-
-
-_as_python_ints = np.frompyfunc(_python_int, 1, 1)
-
-
-def _integer_rows(rows, dim: int) -> np.ndarray:
-    """``rows`` as an (N, dim) integer array, refusing anything not an integer.
-
-    A list or non-integer array is read entry by entry as Python ints (numpy
-    infers float64 for a list holding one >= 2^63), then held in int64 if all fit."""
-    integer = isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
-    rows = rows if integer else np.asarray(rows, dtype=object)
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValueError(f"expected an (N, {dim}) array, got shape {rows.shape}")
-    if integer:
-        return rows
-    rows = _as_python_ints(rows)
-    return rows.astype(np.int64) if _max_abs(rows) < 1 << 63 else rows
-
-
-#: ``mul_batch`` gathers at most this many entries of ``ys`` at once: what
-#: 256 dense rows gather at level 4, half a MB in int64.
+#: A ``_Batch`` product gathers at most this many entries of its right
+#: factor at once: what 256 dense rows gather at level 4, half a MB in int64.
 _GATHER_BLOCK = 1 << 16
 
 
-def mul_batch(level: int, xs, ys) -> np.ndarray:
-    """Row-by-row products of two batches of integer elements at ``level``.
+class _Batch:
+    """N elements of one level as the rows of an integer array: the exact batch kernel.
 
-    ``xs`` and ``ys`` are (N, 2^level) arrays of integer coordinates; row n
-    of the result holds the coordinates of xs[n] * ys[n], exactly as
-    ``CDNumber.__mul__`` gives them.  Float and Fraction coordinates raise
-    TypeError instead of being truncated; they take the scalar product.
-    The bound ``_mul_rows`` trusts is measured here: max|x| max|y| 2^level.
+    Implements just what the identity predicates of ``properties`` use, row
+    by row: products, whose row n holds rows[n] * other.rows[n] exactly as
+    ``CDNumber.__mul__`` gives it; ``!=``, true where two rows differ; and
+    ``norm_sq``.  ``bound`` bounds |entry| and is carried, not measured:
+    whoever makes a batch states it, and a product's is bx * by << level,
+    since each output coordinate, and each of its partial sums, adds
+    2^level terms +/- x_i y_j.  It alone picks the arithmetic: int64 below
+    2^62, and Python ints in object arrays above, which cannot overflow.
+
+    Output coordinate k of a product is the sum over i of signs[k, i] x_i y_j
+    with j = columns[k, i] (``_gather_layout``), one ``einsum`` over the rows
+    of ``other`` gathered along those columns.  Axes that no row of ``self``
+    uses are left out of the gather, so sparse left factors cost little, and
+    rows run in blocks that gather at most ``_GATHER_BLOCK`` entries each (one
+    row at least), so a dense batch takes no more memory at level 6 than at
+    level 4.  Neither a loose bound nor the blocks change any result.
     """
-    dim = 1 << level
-    xs, ys = _integer_rows(xs, dim), _integer_rows(ys, dim)
-    if len(xs) != len(ys):
-        raise ValueError(f"batches differ in length: {len(xs)} vs {len(ys)}")
-    return _mul_rows(level, xs, ys, (_max_abs(xs) * _max_abs(ys)) << level)
+
+    __slots__ = ("level", "rows", "bound")
+
+    def __init__(self, level: int, rows: np.ndarray, bound: int):
+        self.level = level
+        self.rows = rows
+        self.bound = bound
+
+    def __mul__(self, other: "_Batch") -> "_Batch":
+        level, dim = self.level, 1 << self.level
+        bound = self.bound * other.bound << level
+        columns, signs = _gather_layout(level)
+        xs, ys = self.rows, other.rows
+        if bound < 1 << 62:
+            xs, ys = xs.astype(np.int64, copy=False), ys.astype(np.int64, copy=False)
+        else:
+            xs, ys, signs = xs.astype(object), ys.astype(object), signs.astype(object)
+        used = xs.any(axis=0).nonzero()[0]
+        if len(used) < dim:  # a dense left factor is read in place, not copied
+            xs, columns, signs = xs.take(used, axis=1), columns[:, used], signs.take(used, axis=1)
+        step = max(1, _GATHER_BLOCK // (dim * max(1, len(used))))
+        blocks = [  # one at least, so an empty batch gives an empty (0, dim) array
+            np.einsum("ni,nki,ki->nk", xs[n : n + step], ys[n : n + step, columns], signs)
+            for n in range(0, max(1, len(xs)), step)
+        ]
+        return _Batch(level, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), bound)
+
+    def __ne__(self, other: "_Batch") -> np.ndarray:
+        return (self.rows != other.rows).any(axis=1)
+
+    def norm_sq(self) -> np.ndarray:
+        rows = self.rows
+        # below 2^31 a product of two norms still fits in int64
+        if self.bound**2 << self.level >= 1 << 31:
+            rows = rows.astype(object)
+        return (rows * rows).sum(axis=1)
 
 
-def _mul_rows(level: int, xs: np.ndarray, ys: np.ndarray, bound: int) -> np.ndarray:
-    """``mul_batch`` on (N, 2^level) integer arrays, trusting the caller's ``bound``.
+def right_mult_matrix(a: CDNumber) -> np.ndarray:
+    """Matrix of x -> x a, as floats: column j is e_j a, whose entry k is
+    signs[k, j] a_(j ^ k) (``_gather_layout``).  ``+ 0.0`` turns the -0.0 of
+    a negated zero into the 0.0 that a product's sum from 0 gives."""
+    columns, signs = _gather_layout(a.level)
+    return signs * np.array(a.coords, dtype=float)[columns] + 0.0
 
-    ``bound`` must be at least max|x| * max|y| * 2^level.  Each output
-    coordinate is a sum of 2^level terms +/- x_i y_j, so it and every
-    partial sum are at most that.  Below 2^62 the products run in int64,
-    and above it on Python ints in object arrays, which cannot overflow;
-    so a loose bound changes no result.
 
-    Output coordinate k is the sum over i of signs[k, i] * x_i * y_j with
-    j = columns[k, i] (``_gather_layout``), one ``einsum`` over the rows of
-    ``ys`` gathered along those columns.  Axes that no row of ``xs`` uses
-    are left out of the gather, so sparse left factors cost little.  Rows
-    run in blocks, each as many rows as gather at most 2^16 entries
-    (``_GATHER_BLOCK``, half a MB of int64) and at least one, so the
-    gather of a dense batch takes no more memory at level 6 than at level
-    4; blocks change no result, and a batch of one block is returned as
-    ``einsum`` makes it, with no copy.
-    """
-    dim = 1 << level
-    columns, signs = _gather_layout(level)
-    if bound < 1 << 62:
-        xs, ys = xs.astype(np.int64, copy=False), ys.astype(np.int64, copy=False)
-    else:
-        xs, ys, signs = xs.astype(object), ys.astype(object), signs.astype(object)
-    used = xs.any(axis=0).nonzero()[0]
-    if len(used) < dim:  # a dense left factor is read in place, not copied
-        xs, columns, signs = xs.take(used, axis=1), columns[:, used], signs.take(used, axis=1)
-    step = max(1, _GATHER_BLOCK // (dim * max(1, len(used))))
-    blocks = [  # one at least, so an empty batch gives an empty (0, dim) array
-        np.einsum("ni,nki,ki->nk", xs[n : n + step], ys[n : n + step, columns], signs)
-        for n in range(0, max(1, len(xs)), step)
-    ]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+def left_mult_matrix(b: CDNumber) -> np.ndarray:
+    """Matrix of x -> b x, as floats: column j is b e_j, whose entry k is the
+    sign of e_(j ^ k) e_j times b_(j ^ k), read as in ``right_mult_matrix``."""
+    columns, signs = _gather_layout(b.level)
+    return np.take_along_axis(signs, columns, 1) * np.array(b.coords, dtype=float)[columns] + 0.0
 
 
 class _FrozenSlots:

@@ -2,14 +2,14 @@
 
 Each identity is written once, as a predicate on two or three elements
 that is true when they violate it.  The predicates run on one carrier,
-``_Batch``: N elements of a level as the rows of an integer array, with a
-bound on their entries that each stream states and each product
-(``algebra._mul_rows``) derives from its factors'.  One chunk loop,
-``_first_hit``, judges every candidate: it asks a candidate stream for a
-chunk of tuples, 64 at first and doubling up to 512, calls the predicate
-once on the chunk, and stops at the first violating row.  That row
-counts as one candidate more than those before it, exactly as a walk
-one candidate at a time counts.
+``algebra._Batch``: N elements of a level as the rows of an integer
+array, with a bound on their entries that each candidate stream states
+once, when it is made, and each product derives from its factors'.  One
+chunk loop, ``_first_hit``, judges every candidate: it asks a candidate
+stream for a chunk of tuples, 64 at first and doubling up to 512, calls
+the predicate once on the chunk, and stops at the first violating row.
+That row counts as one candidate more than those before it, exactly as
+a walk one candidate at a time counts.
 
 The sweep of the five identity checkers reads three streams, in order:
 
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _max_abs, _mul_rows, _signs, cd_to_json
+from .algebra import CDNumber, _Batch, _max_abs, _signs, cd_to_json
 from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
 MAX_CHECK_LEVEL = 6
@@ -132,82 +132,51 @@ def _norm_nonmultiplicative(x, y) -> np.ndarray:
 # -- the sweep --------------------------------------------------------------
 
 
-class _Batch:
-    """N elements of one level, held as the rows of an integer array.
-
-    Implements just what the identity predicates use, row by row: products
-    through ``algebra._mul_rows``, ``!=`` as a boolean array that is true
-    where two rows differ, and ``norm_sq``.  One call of a predicate on
-    batches then judges a whole chunk of candidates, exactly.  ``bound``
-    bounds |entry| and is carried, not measured: a product's is bx * by <<
-    level, since each coordinate sums 2^level terms +/- x_i y_j; it alone
-    picks int64 or Python ints.
-    """
-
-    __slots__ = ("level", "rows", "bound")
-
-    def __init__(self, level: int, rows: np.ndarray, bound: int):
-        self.level = level
-        self.rows = rows
-        self.bound = bound
-
-    def __mul__(self, other: "_Batch") -> "_Batch":
-        bound = self.bound * other.bound << self.level
-        return _Batch(self.level, _mul_rows(self.level, self.rows, other.rows, bound), bound)
-
-    def __ne__(self, other: "_Batch") -> np.ndarray:
-        return (self.rows != other.rows).any(axis=1)
-
-    def norm_sq(self) -> np.ndarray:
-        rows = self.rows
-        # below 2^31 a product of two norms still fits in int64
-        if self.bound**2 << self.level >= 1 << 31:
-            rows = rows.astype(object)
-        return (rows * rows).sum(axis=1)
-
-
 #: Candidates are judged in chunks that start small, so an early witness
-#: costs little, and double up to a cap; ``_mul_rows`` bounds the memory
-#: of each product within a chunk.
+#: costs little, and double up to a cap; ``_Batch`` bounds the memory of
+#: each product within a chunk.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 512
 
 #: A candidate stream: ``candidates(start, stop)`` gives candidates start
-#: .. stop - 1 as one (stop - start, 2^level) integer array per slot.
-_Candidates = Callable[[int, int], list[np.ndarray]]
+#: .. stop - 1 as one ``_Batch`` of stop - start rows per slot, within the
+#: entry bound the stream stated when it was made.
+_Candidates = Callable[[int, int], list[_Batch]]
 
 
 def _first_hit(
-    level: int, total: int, candidates: _Candidates, bound: int, violates: Callable[..., np.ndarray]
+    total: int, candidates: _Candidates, violates: Callable[..., np.ndarray]
 ) -> tuple[int, Optional[tuple[CDNumber, ...]]]:
     """Judge candidates 0 .. total - 1 of a stream in chunks, in order.
 
-    Each chunk is one call of ``violates`` on ``_Batch`` slots whose entries
-    the stream keeps within ``bound``.  Returns how many candidates were
-    judged through the first violating one, as a walk one candidate at a
-    time counts them, and that candidate; or total and None when none does.
+    Each chunk is one call of ``violates`` on the stream's slots.  Returns
+    how many candidates were judged through the first violating one, as a
+    walk one candidate at a time counts them, and that candidate; or total
+    and None when none does.
     """
     start, size = 0, _FIRST_CHUNK
     while start < total:
         stop = min(start + size, total)
         slots = candidates(start, stop)
-        hits = violates(*(_Batch(level, rows, bound) for rows in slots))
+        hits = violates(*slots)
         first = int(hits.argmax())
         if hits[first]:
-            return start + first + 1, tuple(CDNumber(level, rows[first].tolist()) for rows in slots)
+            witness = tuple(CDNumber(s.level, s.rows[first].tolist()) for s in slots)
+            return start + first + 1, witness
         start, size = stop, min(2 * size, _MAX_CHUNK)
     return total, None
 
 
-def _ordered_tuples(rows: np.ndarray, arity: int) -> _Candidates:
+def _ordered_tuples(level: int, rows: np.ndarray, arity: int) -> _Candidates:
     """The stream of ordered ``arity``-tuples of ``rows``, first slot major,
     as ``itertools.product(rows, repeat=arity)`` orders them."""
+    bound = _max_abs(rows)
 
-    def candidates(start: int, stop: int) -> list[np.ndarray]:
+    def candidates(start: int, stop: int) -> list[_Batch]:
         index, slots = np.arange(start, stop), []
         for _ in range(arity):
             index, slot = np.divmod(index, len(rows))
-            slots.append(rows[slot])
+            slots.append(_Batch(level, rows[slot], bound))
         return slots[::-1]
 
     return candidates
@@ -246,11 +215,11 @@ def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
     rng, span, width = random.Random(seed), RANDOM_EXACT_SPAN, 2 * RANDOM_EXACT_SPAN + 1
     bits = map(rng.getrandbits, itertools.repeat(width.bit_length()))
 
-    def candidates(start: int, stop: int) -> list[np.ndarray]:
+    def candidates(start: int, stop: int) -> list[_Batch]:
         count = (stop - start) * arity << level
         draws = np.fromiter((r - span for r in bits if r < width), np.int64, count)
         rows = draws.reshape(stop - start, arity, 1 << level)
-        return [rows[:, k] for k in range(arity)]
+        return [_Batch(level, rows[:, k], span) for k in range(arity)]
 
     return candidates
 
@@ -274,14 +243,14 @@ def _sweep(
     """
     _check_arguments(level, samples, MAX_CHECK_LEVEL)
     dim = 1 << level
-    phases = [(dim**arity, _ordered_tuples(np.eye(dim, dtype=np.int64), arity), 1)]
+    phases = [(dim**arity, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
     if two_term and level >= 4:
         rows = _two_term_rows(level)
-        phases.append((len(rows) ** arity, _ordered_tuples(rows, arity), 1))
-    phases.append((samples, _random_tuples(level, seed, arity), RANDOM_EXACT_SPAN))
+        phases.append((len(rows) ** arity, _ordered_tuples(level, rows, arity)))
+    phases.append((samples, _random_tuples(level, seed, arity)))
     tested = 0
-    for phase, (total, candidates, bound) in enumerate(phases):
-        judged, hit = _first_hit(level, total, candidates, bound, violates)
+    for phase, (total, candidates) in enumerate(phases):
+        judged, hit = _first_hit(total, candidates, violates)
         tested += total if phase == 0 else judged  # the basis phase counts whole
         if hit is not None:
             return PropertyReport(name, level, "fails", hit, tested)
@@ -449,14 +418,14 @@ def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -
     _check_arguments(level, samples, 4)
     phases = [(samples, _random_tuples(level, seed, 2))]
     if level >= 4:
-        phases.insert(0, (512, _ordered_tuples(_two_term_rows(level), 2)))
+        phases.insert(0, (512, _ordered_tuples(level, _two_term_rows(level), 2)))
     name, tested = "two_generated_associative", 0
     for total, candidates in phases:
         for n in range(total):
             tested += 1
-            basis = _subalgebra_basis(level, *(slot[0] for slot in candidates(n, n + 1)))
-            triples, bound = _ordered_tuples(basis, 3), _max_abs(basis)  # none if x = y = 0
-            _, triple = _first_hit(level, len(basis) ** 3, triples, bound, _nonassociating)
+            basis = _subalgebra_basis(level, *(slot.rows[0] for slot in candidates(n, n + 1)))
+            triples = _ordered_tuples(level, basis, 3)  # none if x = y = 0
+            _, triple = _first_hit(len(basis) ** 3, triples, _nonassociating)
             if triple is not None:
                 return PropertyReport(name, level, "fails", triple, tested)
     return PropertyReport(name, level, "holds", None, tested)

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import CDNumber
+from .algebra import CDNumber, left_mult_matrix, right_mult_matrix
 from .projective import DEFAULT_TOL, LinePoint, random_unit, sphere_to_line
 
 Matrix = list[list[int]]
@@ -42,17 +42,18 @@ class GeometryError(RuntimeError):
 
 def _to_int_matrix(matrix) -> Matrix:
     rows = []
-    try:
-        for row in matrix:
-            out = []
-            for v in row:
+    for row in matrix:
+        out = []
+        for v in row:
+            try:
                 iv = int(v)
-                if iv != v:
-                    raise ValueError(f"matrix entry {v!r} is not an integer")
-                out.append(iv)
-            rows.append(out)
-    except OverflowError:  # int() of an infinity
-        raise ValueError(f"matrix entry {v!r} is not an integer") from None
+                integral = iv == v
+            except (OverflowError, ValueError):  # an infinity, a NaN, a non-numeric string
+                integral = False
+            if not integral:
+                raise ValueError(f"matrix entry {v!r} is not an integer")
+            out.append(iv)
+        rows.append(out)
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise ValueError("ragged matrix")
@@ -467,20 +468,6 @@ def cohomology_profile(
 
 
 # -- Hopf-invariant proxies ---------------------------------------------------
-
-
-def left_mult_matrix(b: CDNumber) -> np.ndarray:
-    """Matrix of x -> b x in the coordinate basis."""
-    dim = 1 << b.level
-    cols = [(b * CDNumber.basis(b.level, j)).coords for j in range(dim)]
-    return np.array(cols, dtype=float).T
-
-
-def right_mult_matrix(a: CDNumber) -> np.ndarray:
-    """Matrix of x -> x a in the coordinate basis."""
-    dim = 1 << a.level
-    cols = [(CDNumber.basis(a.level, j) * a).coords for j in range(dim)]
-    return np.array(cols, dtype=float).T
 
 
 def multiplication_bidegree(level: int, samples: int, seed: int = 0) -> tuple[int, int]:

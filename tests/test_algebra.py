@@ -20,7 +20,10 @@ from octoplane.algebra import (
     embed,
     inner_product,
     _GATHER_BLOCK,
-    mul_batch,
+    _Batch,
+    _max_abs,
+    left_mult_matrix,
+    right_mult_matrix,
     scalar_to_json,
 )
 
@@ -205,15 +208,20 @@ def _batch_rows(level, rng, count, scale, sparse):
     return rows
 
 
-def _as_array(rows, dim):
-    """An (N, dim) int64 array when every entry fits, else an object array."""
+def _as_batch(level, rows):
+    """A ``_Batch`` of ``rows`` bounded by their largest entry: int64 rows
+    when every entry fits, else object rows of Python ints."""
     fits = all(-(2**63) <= v < 2**63 for row in rows for v in row)
-    return np.array(rows, dtype=np.int64 if fits else object).reshape(len(rows), dim)
+    array = np.array(rows, dtype=np.int64 if fits else object).reshape(len(rows), 1 << level)
+    return _Batch(level, array, _max_abs(array))
+
+
+def _batch_product(level, xs, ys):
+    return (_as_batch(level, xs) * _as_batch(level, ys)).rows
 
 
 def _assert_batch_matches_oracle(level, xs, ys):
-    dim = 1 << level
-    out = mul_batch(level, _as_array(xs, dim), _as_array(ys, dim))
+    out = _batch_product(level, xs, ys)
     assert out.shape == (len(xs), 1 << level)
     assert out.tolist() == [list(ref_mul(tuple(x), tuple(y))) for x, y in zip(xs, ys)]
 
@@ -243,13 +251,13 @@ def test_mul_batch_matches_doubling_recursion(level, seed, count, scale, sparse)
 def test_mul_batch_empty_and_object_path():
     for level in range(7):
         dim = 1 << level
-        out = mul_batch(level, np.zeros((0, dim), dtype=np.int64), np.zeros((0, dim), dtype=np.int64))
-        assert out.shape == (0, dim)
+        empty = _Batch(level, np.zeros((0, dim), dtype=np.int64), 0)
+        assert (empty * empty).rows.shape == (0, dim)
     # near 2^40 the sums leave int64, so only the object path is exact
     rng = random.Random(5)
     xs = [[rng.randint(2**40 - 9, 2**40 + 9) for _ in range(16)] for _ in range(4)]
     ys = [[-v for v in row] for row in xs]
-    assert mul_batch(4, _as_array(xs, 16), _as_array(ys, 16)).dtype == object
+    assert _batch_product(4, xs, ys).dtype == object
     _assert_batch_matches_oracle(4, xs, ys)
     # Python ints past int64 arrive as an object array
     huge = [[2**70 + k for k in range(8)]]
@@ -265,7 +273,7 @@ def test_mul_batch_row_blocks_match_row_by_row_products():
     large = [[rng.randint(-9, 9) * 2**40 for _ in range(64)] for _ in range(2 * per_block + 1)]
     for rows, dtype in ((small, np.int64), (large, object)):  # large leaves int64 past 2^62
         xs, ys = rows, rows[::-1]
-        out = mul_batch(6, _as_array(xs, 64), _as_array(ys, 64))
+        out = _batch_product(6, xs, ys)
         assert out.dtype == dtype
         expected = [list((CDNumber(6, x) * CDNumber(6, y)).coords) for x, y in zip(xs, ys)]
         assert out.tolist() == expected
@@ -281,51 +289,38 @@ def test_mul_batch_row_blocks_match_row_by_row_products():
     ids=["past-int64-and-negative", "past-int64", "below-2-to-64"],
 )
 def test_mul_batch_takes_integer_lists_past_int64(xs, ys):
-    # numpy infers float64 for these lists; they must take the object path
-    out = mul_batch(1, xs, ys)
+    # entries past int64 arrive as object rows of Python ints and stay exact
+    out = _batch_product(1, xs, ys)
+    assert out.dtype == object
     assert out.tolist() == [list(ref_mul(tuple(x), tuple(y))) for x, y in zip(xs, ys)]
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        np.full((2, 4), 0.5),
-        np.ones((2, 4)),
-        [[1.0, 2.0, 3.0, 4.0]] * 2,
-        np.array([[Fraction(1, 2)] * 4] * 2, dtype=object),
-        np.array([[Fraction(2)] * 4] * 2, dtype=object),
-        np.array([[1, 2, 3, 4.5]] * 2, dtype=object),
-        [[2**63, 2, 3, 4.5]] * 2,
-        [[True, 2, 3, 4]] * 2,
-        np.ones((2, 4), dtype=bool),
-        np.array([[True, 2**70, 3, 4]] * 2, dtype=object),
-    ],
-    ids=[
-        "float-halves",
-        "float-ones",
-        "float-list",
-        "fraction",
-        "integral-fraction",
-        "object-float",
-        "float-list-past-int64",
-        "bool-list",
-        "bool-array",
-        "object-bool",
-    ],
-)
-def test_mul_batch_rejects_non_integers(bad):
-    ints = np.ones((2, 4), dtype=np.int64)
-    with pytest.raises(TypeError):
-        mul_batch(2, bad, ints)
-    with pytest.raises(TypeError):
-        mul_batch(2, ints, bad)
+def _product_columns(level, element, left):
+    """The multiplication matrix of ``element`` built from its products with
+    the basis, one column each: the gathered matrices match it bit for bit."""
+    dim = 1 << level
+    basis = [CDNumber.basis(level, j) for j in range(dim)]
+    cols = [(element * b if left else b * element).coords for b in basis]
+    return np.array(cols, dtype=float).T
 
 
-def test_mul_batch_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        mul_batch(2, np.ones((2, 4), dtype=np.int64), np.ones((3, 4), dtype=np.int64))
-    with pytest.raises(ValueError):
-        mul_batch(2, np.ones((2, 8), dtype=np.int64), np.ones((2, 8), dtype=np.int64))
+@pytest.mark.parametrize("level", range(5))
+def test_mult_matrices_match_product_columns(level):
+    rng, dim = random.Random(level), 1 << level
+    units = []
+    for _ in range(30):
+        v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        r = math.sqrt(sum(c * c for c in v))
+        units.append(CDNumber(level, [c / r for c in v]))
+    # integer elements with zero coordinates; a float -0.0 too, above level 0,
+    # where a product sums from the int 0 and so makes it 0.0 (x0 * y0 keeps it)
+    integers = [CDNumber(level, [rng.choice((0, 0, -3, 2)) for _ in range(dim)]) for _ in range(10)]
+    zeros = [CDNumber.zero(level)] + ([CDNumber(level, [-0.0] + [1.5] * (dim - 1))] if level else [])
+    for x in units + integers + zeros:
+        left, right = left_mult_matrix(x), right_mult_matrix(x)
+        assert left.dtype == right.dtype == np.float64
+        assert left.tobytes() == _product_columns(level, x, True).tobytes()
+        assert right.tobytes() == _product_columns(level, x, False).tobytes()
 
 
 # -- conjugation and norm ---------------------------------------------------

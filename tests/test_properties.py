@@ -9,10 +9,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from octoplane.algebra import CDNumber, _max_abs, basis_element, cd_to_json, mul_batch
+from octoplane.algebra import CDNumber, _Batch, _max_abs, basis_element, cd_to_json
 from octoplane.properties import (
     RANDOM_EXACT_SPAN,
-    _Batch,
     _extend_echelon,
     _first_hit,
     _nonalternative,
@@ -417,14 +416,14 @@ def test_zero_pair_generates_an_empty_basis_with_no_triple_to_judge(level):
     def candidates(start, stop):
         raise AssertionError(f"candidates {start} .. {stop - 1} drawn from an empty basis")
 
-    judged = _first_hit(level, len(basis) ** 3, candidates, _max_abs(basis), _nonassociating)
+    judged = _first_hit(len(basis) ** 3, candidates, _nonassociating)
     assert judged == (0, None)
 
 
 def test_two_generated_counts_a_zero_pair_and_holds():
     # at level 0 a seeded pair is (0, 0) once in 361 draws on average
     stream = _random_tuples(0, 0, 2)
-    n = next(n for n in itertools.count() if not any(s.any() for s in stream(n, n + 1)))
+    n = next(n for n in itertools.count() if not any(s.rows.any() for s in stream(n, n + 1)))
     report = check_two_generated_associativity(0, n + 2, seed=0)
     assert report.to_json()["samples"] == n + 2 and report.holds
 
@@ -452,8 +451,7 @@ def test_batch_norms_stay_exact_at_the_int64_switch(level):
 
 class _CheckedBatch(_Batch):
     """A ``_Batch`` whose products and norms are checked as they are made:
-    the carried bound covers every entry, and the rows are those of
-    ``mul_batch`` and the oracle."""
+    the carried bound covers every entry, and the rows are the oracle's."""
 
     __slots__ = ()
 
@@ -461,7 +459,6 @@ class _CheckedBatch(_Batch):
         product = super().__mul__(other)
         rows = product.rows.tolist()
         assert product.bound >= max(abs(c) for row in rows for c in row)
-        assert rows == mul_batch(self.level, self.rows, other.rows).tolist()
         pairs = zip(self.rows.tolist(), other.rows.tolist())
         assert rows == [list(ref_mul(tuple(x), tuple(y))) for x, y in pairs]
         return _CheckedBatch(self.level, product.rows, product.bound)
@@ -621,11 +618,13 @@ def test_two_term_phase_reports_are_pinned(checker, level, samples, witness):
 # -- the chunk loop ----------------------------------------------------------------
 
 
-def _fires_at(k):
-    """A predicate true only at the k-th candidate it is shown, counting from 1."""
+def _fires_at(k, bound):
+    """A predicate true only at the k-th candidate it is shown, counting from
+    1, that checks each slot carries ``bound`` and keeps within it."""
     seen = [0]
 
     def violates(*slots):
+        assert all(s.bound == bound >= _max_abs(s.rows) for s in slots)
         hits = np.zeros(len(slots[0].rows), dtype=bool)
         if 0 <= k - 1 - seen[0] < len(hits):
             hits[k - 1 - seen[0]] = True
@@ -647,15 +646,15 @@ def _ordered_walk(level, rows, arity):
     return list(itertools.product(elements, repeat=arity))
 
 
-#: (name, level, total, a fresh stream, its entry bound, its candidates walked
+#: (name, total, a fresh stream, its entry bound, its candidates walked
 #: one at a time); a random stream is read once, from its start, so each test
 #: builds its own
 CHUNK_STREAMS = [
-    ("basis", 3, 8**3, lambda: _ordered_tuples(np.eye(8, dtype=np.int64), 3), 1,
+    ("basis", 8**3, lambda: _ordered_tuples(3, np.eye(8, dtype=np.int64), 3), 1,
      lambda: _ordered_walk(3, np.eye(8, dtype=np.int64), 3)),
-    ("two-term", 3, 56**2, lambda: _ordered_tuples(_two_term_rows(3), 2), 1,
+    ("two-term", 56**2, lambda: _ordered_tuples(3, _two_term_rows(3), 2), 1,
      lambda: _ordered_walk(3, _two_term_rows(3), 2)),
-    ("random", 2, 300, lambda: _random_tuples(2, 5, 2), RANDOM_EXACT_SPAN,
+    ("random", 300, lambda: _random_tuples(2, 5, 2), RANDOM_EXACT_SPAN,
      lambda: _random_walk(2, 5, 2, 300)),
 ]
 
@@ -665,9 +664,9 @@ CHUNK_STREAMS = [
 def test_first_hit_counts_across_chunk_boundaries(stream, k):
     # chunks hold 64, 128, 256, then 512 candidates: 64 and 192 end a chunk,
     # 65 and 193 open the next
-    _, level, total, candidates, bound, walk = stream
+    _, total, candidates, bound, walk = stream
     k = total if k == "last" else k
-    count, hit = _first_hit(level, total, candidates(), bound, _fires_at(k))
+    count, hit = _first_hit(total, candidates(), _fires_at(k, bound))
     assert count == k
     assert hit == walk()[k - 1]
 
@@ -680,7 +679,8 @@ def test_random_stream_draws_as_randint_draws(seed):
     for level, arity in itertools.product(range(7), (2, 3)):
         candidates, rng = _random_tuples(level, seed, arity), random.Random(seed)
         slots = [candidates(0, 3), candidates(3, 8)]
-        drawn = [[s[n].tolist() for s in chunk] for chunk in slots for n in range(len(chunk[0]))]
+        drawn = [[s.rows[n].tolist() for s in chunk]
+                 for chunk in slots for n in range(len(chunk[0].rows))]
         walk = [[[rng.randint(-span, span) for _ in range(1 << level)] for _ in range(arity)]
                 for _ in range(8)]
         assert drawn == walk
@@ -688,5 +688,35 @@ def test_random_stream_draws_as_randint_draws(seed):
 
 @pytest.mark.parametrize("stream", CHUNK_STREAMS, ids=lambda s: s[0])
 def test_first_hit_without_a_hit_judges_every_candidate(stream):
-    _, level, total, candidates, bound, _ = stream
-    assert _first_hit(level, total, candidates(), bound, _fires_at(0)) == (total, None)
+    _, total, candidates, bound, _ = stream
+    assert _first_hit(total, candidates(), _fires_at(0, bound)) == (total, None)
+
+
+@pytest.mark.parametrize("scale", [1, 2**20, 2**40])
+def test_ordered_stream_states_the_bound_of_its_rows(scale):
+    # the stream measures its rows once, when made; near 2^40 the associator
+    # leaves int64, so a bound stated too low would let its products wrap
+    rng = random.Random(scale)
+    rows = np.array([[rng.randint(-9, 9) * scale for _ in range(8)] for _ in range(4)])
+    stream = _ordered_tuples(3, rows, 3)
+    assert {s.bound for s in stream(0, 64)} == {_max_abs(rows)}
+    _, violates = REF_VIOLATIONS[check_associative]
+    walk = list(itertools.product(map(tuple, rows.tolist()), repeat=3))
+    k = next(n for n, t in enumerate(walk, 1) if violates(*t))
+    count, hit = _first_hit(len(walk), stream, _nonassociating)
+    assert count == k
+    assert hit == tuple(CDNumber(3, c) for c in walk[k - 1])
+
+
+def test_first_hit_reads_chunks_that_double_up_to_the_cap():
+    # no count or witness depends on the schedule, but the time to an early
+    # witness and the memory of a chunk do: 64 rows first, doubling to 512
+    read = []
+
+    def candidates(start, stop):
+        read.append((start, stop))
+        return [_Batch(0, np.zeros((stop - start, 1), dtype=np.int64), 0)]
+
+    assert _first_hit(2000, candidates, _fires_at(0, 0)) == (2000, None)
+    sizes = [stop - start for start, stop in read]
+    assert sizes == [64, 128, 256, 512, 512, 512, 16]

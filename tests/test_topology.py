@@ -152,6 +152,16 @@ def test_infinite_entries_are_rejected_as_non_integers(entry):
         CWDescription([("v", 0), ("a", 1)], {1: [[entry]]})
 
 
+@pytest.mark.parametrize("entry", [float("nan"), "x"])
+def test_unconvertible_entries_are_rejected_as_non_integers(entry):
+    # int() of a NaN or of a non-numeric string raises its own ValueError
+    for entry_point in (smith_normal_form, invariant_factors):
+        with pytest.raises(ValueError, match=r"matrix entry .* is not an integer"):
+            entry_point([[entry]])
+    with pytest.raises(ValueError, match=r"matrix entry .* is not an integer"):
+        CWDescription([("v", 0), ("a", 1)], {1: [[entry]]})
+
+
 # -- abelian groups --------------------------------------------------------------
 
 
