@@ -40,8 +40,6 @@ ANCHOR_FLOOR = 1e-12
 #: ``separating_functional`` accepts a functional whose value on each
 #: point has a norm above this.
 SEPARATION_THRESHOLD = 1e-6
-#: Random functionals ``separating_functional`` tries after the sign grid.
-SEPARATION_ATTEMPTS = 200
 
 
 class MembershipError(ValueError):
@@ -53,7 +51,8 @@ class OutsideChartError(ValueError):
 
 
 class SeparationError(RuntimeError):
-    """Raised when no functional separating two points could be found."""
+    """Raised when no sign-grid functional separates two points; the lemma
+    in ``separating_functional`` rules that out for valid points."""
 
 
 def level_for_dim(dim: int) -> int:
@@ -297,32 +296,38 @@ def chart_backward(f: Functional, u: CDNumber, v: CDNumber) -> TriplePoint:
     return TriplePoint(*(w / r for w in entries))
 
 
-#: Sign-grid functionals ``separating_functional`` tries first, built once.
+#: The sign grid's 13 directions, in {0, 1, -1}^3 with first nonzero entry 1.
 _GRID = [
     Functional(a, b, c)
     for a in (0.0, 1.0, -1.0)
     for b in (0.0, 1.0, -1.0)
     for c in (0.0, 1.0, -1.0)
-    if (a, b, c) != (0.0, 0.0, 0.0)
+    if next(filter(None, (a, b, c)), 0.0) > 0.0
 ]
-#: ``_GRID``'s coefficients as a (3, 26, 1) array: the a, b and c columns.
+#: ``_GRID``'s coefficients as a (3, 13, 1) array: the a, b and c columns.
 _GRID_COEFFS = np.array([f.coefficients() for f in _GRID]).T[:, :, None]
 
 
 def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
-    """A functional that vanishes on neither point.
+    """A sign-grid functional that vanishes on neither point.
 
-    The vanishing sets are two planes in coefficient space, so a fixed
-    sign grid almost always works; random unit triples drawn from a fixed
-    seed are the fallback, so the result is deterministic.
+    The grid always holds one.  On a point, |ax + by + cz|^2 = v^T G v for
+    v = (a, b, c) and G the real Gram matrix of the entries, positive
+    semidefinite with trace 1 within ``DEFAULT_TOL``; its top eigenvalue is
+    at least about 1/3.  So a grid vector scoring at most
+    ``SEPARATION_THRESHOLD`` lies within 1.8e-6 of one plane, and three
+    independent ones would have a nonzero integer determinant below 1.6e-5:
+    a point's failing directions share a plane.  No plane holds more than 4
+    of the 13 directions, so at least 5 separate both points.
 
-    The grid is scored in one array: coordinate k of every
-    ``eval_functional`` value, (ax + by) + cz, fills a (26, 2) slab for
-    the 26 functionals and the two points.  The squared slabs are added
-    in coordinate order, as ``CDNumber.norm_sq`` adds them, because
-    ``np.sum`` regroups eight terms pairwise and so can move the last bit
-    of a near-tie.  ``argmax`` keeps the first of equal scores, as a
-    strict scan in grid order would.
+    f and -f score bit-identically (IEEE negation and rounding are
+    symmetric), so the grid keeps the one that a nested scan over all 26
+    sign vectors meets first.  Coordinate k of every ``eval_functional``
+    value, (ax + by) + cz, fills a (13, 2) slab for the 13 functionals and
+    the two points; the squared slabs are added in coordinate order, as
+    ``CDNumber.norm_sq`` adds them, since ``np.sum`` regroups eight terms
+    pairwise and can move the last bit of a near-tie.  ``argmax`` keeps the
+    first of equal scores, as a strict scan in grid order would.
     """
     if p.level != q.level:
         raise LevelMismatchError("points must share a level")
@@ -336,15 +341,9 @@ def separating_functional(p: TriplePoint, q: TriplePoint) -> Functional:
     lengths = np.sqrt(norm_sq)
     scores = np.minimum(lengths[:, 0], lengths[:, 1])
     best = int(scores.argmax())
-    if scores[best] > SEPARATION_THRESHOLD:
-        return _GRID[best]
-
-    rng = random.Random(0)
-    for _ in range(SEPARATION_ATTEMPTS):
-        f = Functional(*(e.coords[0] for e in _gaussian_entries(0, 3, rng)))
-        if min(math.sqrt(eval_functional(f, t).norm_sq()) for t in (p, q)) > SEPARATION_THRESHOLD:
-            return f
-    raise SeparationError("no separating functional found; inputs degenerate?")
+    if not scores[best] > SEPARATION_THRESHOLD:
+        raise SeparationError(f"no sign-grid functional separates the points: {scores[best]:.3e}")
+    return _GRID[best]
 
 
 # -- the projective line, its sphere model, and the cell maps ------------

@@ -313,7 +313,12 @@ class CoefficientSpec:
         if text == "Q":
             return RATIONALS
         if text.startswith("Zmod:"):
-            return cls("Zmod", int(text.split(":", 1)[1]))
+            try:
+                modulus = int(text[len("Zmod:"):])
+            except ValueError:
+                pass  # not a number: the message below names the forms
+            else:
+                return cls("Zmod", modulus)
         raise ValueError(f"cannot parse coefficients {text!r}; use Z, Q or Zmod:m")
 
     def __str__(self):

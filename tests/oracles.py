@@ -223,23 +223,26 @@ def ref_subalgebra_basis(x, y):
     return basis
 
 
+def ref_functional_length(point, a, b, c):
+    """|ax + by + cz| for a point given as a triple of coordinate tuples,
+    each coordinate formed as (x_k a + y_k b) + z_k c and the squares added
+    from 0 in coordinate order."""
+    total = 0
+    for xk, yk, zk in zip(*point):
+        v = (xk * a + yk * b) + zk * c
+        total += v * v
+    return sqrt(total)
+
+
 def ref_separating_grid(p, q):
     """The sign-grid functional a scalar scan picks for two points, each a
     triple of coordinate tuples, with its score.
 
-    The grid is (a, b, c) in {0, 1, -1}^3 minus zero, in that nested order.
-    A functional scores the smaller of |ax + by + cz| over the two points,
-    each coordinate formed as (x_k a + y_k b) + z_k c and the squares added
-    from 0 in coordinate order; the first strictly larger score wins, so the
-    result is (None, 0.0) when every functional vanishes on a point."""
-
-    def length(point, a, b, c):
-        total = 0
-        for xk, yk, zk in zip(*point):
-            v = (xk * a + yk * b) + zk * c
-            total += v * v
-        return sqrt(total)
-
+    The grid is (a, b, c) in {0, 1, -1}^3 minus zero, all 26 of them, in
+    that nested order.  A functional scores the smaller of its
+    ``ref_functional_length`` on the two points; the first strictly larger
+    score wins, so the result is (None, 0.0) when every functional vanishes
+    on a point."""
     best, best_score = None, 0.0
     signs = (0.0, 1.0, -1.0)
     for a in signs:
@@ -247,7 +250,7 @@ def ref_separating_grid(p, q):
             for c in signs:
                 if (a, b, c) == (0.0, 0.0, 0.0):
                     continue
-                score = min(length(p, a, b, c), length(q, a, b, c))
+                score = min(ref_functional_length(p, a, b, c), ref_functional_length(q, a, b, c))
                 if score > best_score:
                     best, best_score = (a, b, c), score
     return best, best_score

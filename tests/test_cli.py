@@ -98,18 +98,13 @@ def test_equiv_check(capsys):
     assert code == 0 and doc["verdict"] == "pass"
 
 
-def test_equiv_check_names_the_first_unseparated_sample(capsys, monkeypatch):
-    argv = ["equiv-check", "--level", "4", "--samples", "5", "--seed", "3"]
-    code, passing = run(capsys, *argv)
-    assert code == 0 and passing.endswith(" (seed 3): pass\n")
-    # no functional scores above an infinite threshold, so every pair fails
+def test_equiv_check_exits_1_on_a_separation_error(capsys, monkeypatch):
+    # no functional scores above an infinite threshold, so the first pair raises
     monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", math.inf)
-    code, failing = run(capsys, *argv)
-    assert code == 1
-    head = passing.removesuffix(" (seed 3): pass\n")
-    assert failing == f"{head}, no separating functional at sample 0 (seed 3): fail\n"
-    code, doc = run_json(capsys, *argv)
-    assert code == 1 and doc["verdict"] == "fail"
+    assert main(["equiv-check", "--level", "4", "--samples", "5", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no sign-grid functional separates the points")
 
 
 def test_cohomology_json(capsys):
@@ -129,7 +124,11 @@ def test_cohomology_mod_coefficients(capsys):
 
 
 def test_cohomology_unknown_space(capsys):
-    assert main(["cohomology", "--space", "OP4"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["cohomology", "--space", "OP4"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:") and "invalid choice: 'OP4'" in captured.err
 
 
 def test_hopf_bidegree(capsys):
@@ -278,6 +277,8 @@ def test_hopf_modes_fill_in_their_defaults(capsys, argv, key, value):
         ["check", "--property", "commutative", "--level", "9"],
         ["cohomology", "--space", "RP2", "--coeffs", "Zmod:1"],
         ["hopf", "--mode", "bidegree", "--level", "5"],
+        ["cohomology", "--space", "RP2", "--coeffs", "Zmod:x"],
+        ["cohomology", "--space", "RP2", "--coeffs", "Zmod:"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):

@@ -35,7 +35,7 @@ from octoplane.projective import (
     sphere_to_line,
 )
 
-from oracles import ref_separating_grid
+from oracles import ref_functional_length, ref_separating_grid
 
 TOL = 1e-9
 DIMS = (1, 2, 4, 8)
@@ -211,6 +211,7 @@ def test_functional_validation():
     assert Functional(3, -5, 1).anchor() == 1
     with pytest.raises(OutsideChartError):
         Functional(1e-13, 0, 1e-14).anchor()
+    assert Functional(projective.ANCHOR_FLOOR, 0, 0).anchor() == 0  # the floor itself anchors
 
 
 NAN_AXIS = CDNumber(1, (math.nan, 0.0))
@@ -449,14 +450,88 @@ def _separation_pair(dim, kind, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_separating_functional_matches_scalar_grid(dim, kind, seed):
-    p, q = _separation_pair(dim, kind, seed)
-    expected, score = ref_separating_grid(
-        tuple(e.coords for e in p.entries()), tuple(e.coords for e in q.entries())
-    )
+    _assert_scalar_grid_pick(*_separation_pair(dim, kind, seed))
+
+
+def _coords(p):
+    return tuple(e.coords for e in p.entries())
+
+
+def _assert_scalar_grid_pick(p, q):
+    """The pick is a ``_GRID`` member, the one the 26-entry scalar scan makes,
+    and it scores above the threshold."""
+    expected, score = ref_separating_grid(_coords(p), _coords(q))
     assert score > projective.SEPARATION_THRESHOLD
     f = separating_functional(p, q)
     assert f.coefficients() == expected
     assert any(f is g for g in projective._GRID)
+
+
+def test_no_plane_holds_more_than_four_grid_directions():
+    directions = [tuple(map(int, f.coefficients())) for f in projective._GRID]
+    # the 13 directions and their negatives are the 26 nonzero sign vectors
+    signed = {d for v in directions for d in (v, tuple(-k for k in v))}
+    assert len(directions) == 13 and len(signed) == 26
+    assert all(next(k for k in v if k) == 1 for v in directions)
+    # a plane holding two of them is spanned by them, with normal their cross product
+    counts = []
+    for i, (a1, b1, c1) in enumerate(directions):
+        for a2, b2, c2 in directions[i + 1:]:
+            normal = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+            counts.append(sum(sum(n * k for n, k in zip(normal, v)) == 0 for v in directions))
+    assert max(counts) == 4
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        ["random", "same", "equivalent", "coordinate", "adversarial", "isotropic"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_opposite_functionals_score_bit_identically(dim, kind, seed):
+    for point in map(_coords, _separation_pair(dim, kind, seed)):
+        for f in projective._GRID:
+            a, b, c = f.coefficients()
+            length = ref_functional_length(point, a, b, c)
+            assert ref_functional_length(point, -a, -b, -c).hex() == length.hex()
+
+
+def _adversarial_point(dim, family, eps, rng):
+    """(alpha u, beta u, gamma u) for a random unit u, with (alpha, beta,
+    gamma) a grid direction (an axis among them), on a plane a = b or
+    a + b + c = 0, or ``eps`` off one of those, in random order and signs.
+
+    A grid functional v scores |v . (alpha, beta, gamma)| on it, so it
+    vanishes on (or nearly on) every direction in one plane: up to 4 of
+    the 13.  The "random" family is a point of ``random_triple_point``."""
+    if family == "random":
+        return random_triple_point(dim, rng)
+    if family == "grid":
+        coeffs = list(rng.choice(projective._GRID).coefficients())
+    else:
+        s, t = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        coeffs = [s, s, t] if family == "a = b" else [s, t, -s - t]
+    rng.shuffle(coeffs)
+    coeffs = [rng.choice((1.0, -1.0)) * k + eps * rng.gauss(0.0, 1.0) for k in coeffs]
+    norm = math.sqrt(sum(k * k for k in coeffs))
+    u = random_unit(level_for_dim(dim), rng)
+    return TriplePoint(*(u * (k / norm) for k in coeffs))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    families=st.tuples(*[st.sampled_from(["grid", "a = b", "a + b + c = 0", "random"])] * 2),
+    eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separating_functional_on_adversarial_points(dim, families, eps, seed):
+    # the threshold is the real one: the lemma says the grid always separates
+    rng = random.Random(seed)
+    p, q = (_adversarial_point(dim, family, eps, rng) for family in families)
+    _assert_scalar_grid_pick(p, q)
 
 
 def test_separating_functional_rejects_mixed_levels():
@@ -464,47 +539,19 @@ def test_separating_functional_rejects_mixed_levels():
         separating_functional(real_triple(1, 0, 0, level=3), real_triple(1, 0, 0, level=2))
 
 
-def _rotated_pair(level):
-    """(2, 1, 0)/sqrt 5 and (-1, 2, 0)/sqrt 5: no grid functional scores
-    above 1/sqrt 5 on both, while a unit one can reach 1/sqrt 2."""
-    s = math.sqrt(5.0)
-    return real_triple(2 / s, 1 / s, 0, level), real_triple(-1 / s, 2 / s, 0, level)
-
-
-@pytest.mark.parametrize("level", range(4))
-def test_separating_functional_falls_back_to_seeded_draws(level, monkeypatch):
-    p, q = _rotated_pair(level)
-    coords = [tuple(e.coords for e in t.entries()) for t in (p, q)]
-    assert ref_separating_grid(*coords)[1] < 0.5
-    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", 0.5)
-    f = separating_functional(p, q)
-    # the first of the seeded unit draws that scores above 0.5
-    assert f.coefficients() == (0.16142058790209005, 0.8269267053466642, -0.5386423839486222)
-    assert min(math.sqrt(eval_functional(f, t).norm_sq()) for t in (p, q)) > 0.5
-
-
 def test_separating_functional_needs_a_score_above_the_threshold(monkeypatch):
-    # the best grid score on two coordinate axes is exactly 1, and no unit
-    # functional scores above 1 on both
+    # the best grid score on two coordinate axes is exactly 1
     monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", 1.0)
     assert ref_separating_grid(((1.0,), (0.0,), (0.0,)), ((0.0,), (1.0,), (0.0,)))[1] == 1.0
     with pytest.raises(projective.SeparationError):
         separating_functional(real_triple(1, 0, 0, level=0), real_triple(0, 1, 0, level=0))
-    # a seeded draw scoring exactly the threshold is passed over for a later one
-    p, q = _rotated_pair(3)
-    first = Functional(0.16142058790209005, 0.8269267053466642, -0.5386423839486222)
-    score = min(math.sqrt(eval_functional(first, t).norm_sq()) for t in (p, q))
-    monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", score)
-    later = separating_functional(p, q)
-    assert later.coefficients() != first.coefficients()
-    assert min(math.sqrt(eval_functional(later, t).norm_sq()) for t in (p, q)) > score
 
 
 def test_separating_functional_raises_when_nothing_separates(monkeypatch):
     monkeypatch.setattr(projective, "SEPARATION_THRESHOLD", math.inf)
-    p, q = _rotated_pair(3)
+    rng = random.Random(5)
     with pytest.raises(projective.SeparationError):
-        separating_functional(p, q)
+        separating_functional(random_triple_point(8, rng), random_triple_point(8, rng))
 
 
 # -- line, sphere, cells -------------------------------------------------------------
@@ -637,6 +684,10 @@ def test_disk_extension_examples():
     assert abs(mid.z.coords[0] - math.sqrt(0.5)) < 1e-12
     with pytest.raises(MembershipError):
         disk_extension(CDNumber.one(3), CDNumber.one(3))
+    # the collapsed band is closed: a slack of exactly DEFAULT_TOL gives z = 0
+    x, y = CDNumber.from_scalar(1 - 2**-30, 3), CDNumber.from_scalar(2.9370821391833034e-05, 3)
+    assert 1.0 - x.norm_sq() - y.norm_sq() == projective.DEFAULT_TOL
+    assert disk_extension(x, y).z.is_zero()
 
 
 def test_disk_extension_boundary_factors_through_attaching_map():

@@ -197,6 +197,10 @@ def test_coefficient_spec():
         CoefficientSpec.parse("Zmod:1")
     with pytest.raises(ValueError):
         CoefficientSpec.parse("F2")
+    # a modulus that is not a number gets the parser's message, not int()'s
+    for text in ("Zmod:x", "Zmod:"):
+        with pytest.raises(ValueError, match=rf"^cannot parse coefficients '{text}'; use Z, Q or Zmod:m$"):
+            CoefficientSpec.parse(text)
 
 
 # -- CW descriptions ----------------------------------------------------------------
