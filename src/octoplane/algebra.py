@@ -59,6 +59,25 @@ class ZeroDivisorWarning(UserWarning):
     """conj(x)/|x|^2 stops being a reliable inverse once zero divisors exist."""
 
 
+def _int_arg(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int: the one rule for public integer arguments.
+
+    An int, a numpy integer, or a float or Fraction equal to an int passes
+    when it lies in [low, high].  A bool, a non-integral value, NaN, an
+    infinity, a string or None raises one ValueError that names the
+    argument and its range.
+    """
+    if type(value) is int or not isinstance(value, (bool, np.bool_)):  # ints skip a slow check
+        try:
+            number = int(value)
+            if number == value and low <= number <= high:
+                return number
+        except (TypeError, ValueError, OverflowError):  # None, a string, a NaN, an infinity
+            pass
+    bounds = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def _is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -298,8 +317,7 @@ class CDNumber(_FrozenSlots):
     @classmethod
     def basis(cls, level: int, index: int) -> "CDNumber":
         dim = 1 << level
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for level {level}")
+        index = _int_arg("basis index", index, 0, dim - 1)
         return cls(level, tuple(1 if i == index else 0 for i in range(dim)))
 
     @classmethod
@@ -389,10 +407,7 @@ class CDNumber(_FrozenSlots):
 
     def embed(self, target_level: int) -> "CDNumber":
         """Zero-pad into a higher level; an index-preserving algebra map."""
-        if target_level < self.level:
-            raise ValueError(
-                f"cannot embed level {self.level} into lower level {target_level}"
-            )
+        target_level = _int_arg("target level", target_level, self.level)
         pad = (1 << target_level) - (1 << self.level)
         return CDNumber(target_level, self.coords + (0,) * pad)
 
@@ -473,9 +488,8 @@ class MultiplicationTable(_FrozenSlots):
         return 1 << self.level
 
     def entry(self, i: int, j: int) -> tuple[int, int]:
-        dim = self.dim
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"indices ({i}, {j}) out of range for level {self.level}")
+        i = _int_arg("row index", i, 0, self.dim - 1)
+        j = _int_arg("column index", j, 0, self.dim - 1)
         return self._sign_rows[i][j], i ^ j
 
     def rows(self) -> list[list[tuple[int, int]]]:
@@ -502,8 +516,7 @@ def build_table(level: int) -> MultiplicationTable:
     Guarded at level 6: the table has 4^level entries and nothing at desk
     scale needs more.
     """
-    if level < 0:
-        raise ValueError(f"level must be non-negative, got {level}")
+    level = _int_arg("level", level, 0)
     if level > TABLE_LEVEL_CAP:
         raise TableSizeError(
             f"level {level} table would have {4 ** level} entries; cap is {TABLE_LEVEL_CAP}"
@@ -536,16 +549,13 @@ def cd_to_json(x: CDNumber) -> dict:
 def cd_from_json(data: dict) -> CDNumber:
     """Read back what ``cd_to_json`` writes; anything else raises ValueError.
 
-    The level must be an int and the coordinates a list of 'num/den'
-    strings (exact) or numbers (floats), bools excluded: ``int`` would
-    truncate a level of 2.9, and a string would pass as a sequence of
-    one-character coordinates.
+    The level must be an integral number and the coordinates a list of
+    'num/den' strings (exact) or numbers (floats), bools excluded: a string
+    would pass as a sequence of one-character coordinates.
     """
     if not isinstance(data, dict) or not {"level", "coords"} <= data.keys():
         raise ValueError(f"expected an object with 'level' and 'coords', got {data!r}")
-    level, coords = data["level"], data["coords"]
-    if isinstance(level, bool) or not isinstance(level, int):
-        raise ValueError(f"level must be an integer, got {level!r}")
+    level, coords = _int_arg("level", data["level"], 0), data["coords"]
     if not isinstance(coords, list) or not all(
         isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in coords
     ):

@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import properties, projective, topology
-from .algebra import CDNumber, _max_size, build_table, cd_to_json
+from .algebra import CDNumber, LevelMismatchError, _max_size, build_table, cd_to_json
 
 AUDIT_PROPERTIES = (
     "commutative",
@@ -347,7 +347,10 @@ def main(argv=None) -> int:
         return COMMANDS[args.command].handler(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2 with the usage line
-    except (topology.InconsistencyError, topology.GeometryError, projective.SeparationError) as exc:
+    except (
+        topology.InconsistencyError, topology.GeometryError, projective.SeparationError,
+        projective.MembershipError, projective.OutsideChartError, LevelMismatchError,
+    ) as exc:  # failures mid-run: no input raises these, as arguments are checked first
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -15,10 +15,16 @@ S^d.  ``equivalent`` (also named ``line_equivalent``) and
 ``equivalent_representative`` take either kind of point.
 
 Everything here runs in floating point over algebra dimension
-d in {1, 2, 4, 8}; d = 8 (octonions) is the default.  Every geometric
-check uses the one absolute tolerance ``DEFAULT_TOL`` = 1e-9, written so
-that NaN fails it: non-finite coordinates fail every geometric check
-instead of slipping through.  All values are immutable, all functions pure.
+d in {1, 2, 4, 8}; d = 8 (octonions) is the default.  Three absolute
+thresholds decide the geometric checks.  ``DEFAULT_TOL`` = 1e-9 bounds
+membership, equivalence and chart-domain errors on unit-scale data, and is
+written so that NaN fails it: non-finite coordinates fail every geometric
+check instead of slipping through.  ``ANCHOR_FLOOR`` = 1e-12 is the least
+coefficient that anchors a chart, whose anchor entry is divided by it.
+``SEPARATION_THRESHOLD`` = 1e-6 is what a separating functional must
+exceed on both points, far above ``DEFAULT_TOL`` so that both lie in its
+chart; the lemma in ``separating_functional`` shows the sign grid clears it.
+All values are immutable, all functions pure.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CDNumber, LevelMismatchError, _FrozenSlots, _max_size, associator
+from .algebra import CDNumber, LevelMismatchError, _FrozenSlots, _int_arg, _max_size, associator
 
 DEFAULT_TOL = 1e-9
 #: Algebra dimensions the plane construction supports.
@@ -56,6 +62,7 @@ class SeparationError(RuntimeError):
 
 
 def level_for_dim(dim: int) -> int:
+    dim = _int_arg("dimension", dim, 1, 8)
     if dim not in SUPPORTED_DIMS:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
     return dim.bit_length() - 1

@@ -33,8 +33,7 @@ so it walks its candidate pairs one at a time: the first 512 two-term
 pairs at level 4, then seeded random pairs.  Each pair is closed exactly
 under ``_Batch`` products, into the integer rows of a basis of the
 subalgebra it generates, and the same chunk loop tests the associator on
-every triple of those rows.  It shares the sweep's argument check and
-random stream.
+every triple of those rows.  It shares the sweep's random stream.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _Batch, _max_abs, _signs, cd_to_json
+from .algebra import CDNumber, _Batch, _int_arg, _max_abs, _signs, cd_to_json
 from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
 MAX_CHECK_LEVEL = 6
@@ -102,6 +101,7 @@ class PropertyReport:
 
 def random_exact(level: int, rng: random.Random) -> CDNumber:
     """Random element with integer coordinates in [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN]."""
+    level = _int_arg("level", level, 0)
     span = RANDOM_EXACT_SPAN
     return CDNumber(level, tuple(rng.randint(-span, span) for _ in range(1 << level)))
 
@@ -196,13 +196,6 @@ def _two_term_rows(level: int) -> np.ndarray:
     return rows
 
 
-def _check_arguments(level: int, samples: int, cap: int) -> None:
-    if not 0 <= level <= cap:
-        raise ValueError(f"level must be in [0, {cap}], got {level}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-
-
 def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
     """The stream of ``arity``-tuples of seeded ``random_exact`` draws, in
     the order a walk one tuple at a time draws them.
@@ -241,7 +234,8 @@ def _sweep(
     ``_first_hit``: the unit basis rows, the two-term rows when
     ``two_term`` is set and level >= 4, then ``samples`` random tuples.
     """
-    _check_arguments(level, samples, MAX_CHECK_LEVEL)
+    level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
+    samples = _int_arg("samples", samples, 1)
     dim = 1 << level
     phases = [(dim**arity, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
     if two_term and level >= 4:
@@ -311,12 +305,9 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     hit for s = -1 at the opposite t.  Taking k in ascending order keeps
     the scan's order.
     """
-    if level < 0:
-        raise ValueError(f"level must be non-negative, got {level}")
+    level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
     if level <= 3:
         return []
-    if level > MAX_CHECK_LEVEL:
-        raise ValueError(f"level must be <= {MAX_CHECK_LEVEL}, got {level}")
     dim = 1 << level
     terms = [CDNumber(level, r) for r in _two_term_rows(level).tolist()]
     # e_k + t*e_l (k < l) is terms[2 * (offset[k] + l) + (t < 0)]
@@ -347,6 +338,7 @@ def check_division(level: int) -> PropertyReport:
     ``samples`` counts the whole pattern, (2 * C(dim, 2))^2 pairs, since
     the scan is exhaustive; it is 0 below level 4, where no scan runs.
     """
+    level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
     pairs = find_zero_divisors(level)
     dim = 1 << level
     scanned = (dim * (dim - 1)) ** 2 if level >= 4 else 0
@@ -415,7 +407,8 @@ def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -
     pairs, and the first violations sit early among them.  The
     counterexample is the first non-associating triple of basis elements.
     """
-    _check_arguments(level, samples, 4)
+    level = _int_arg("level", level, 0, 4)
+    samples = _int_arg("samples", samples, 1)
     phases = [(samples, _random_tuples(level, seed, 2))]
     if level >= 4:
         phases.insert(0, (512, _ordered_tuples(level, _two_term_rows(level), 2)))

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, left_mult_matrix, right_mult_matrix
+from .algebra import CDNumber, _int_arg, left_mult_matrix, right_mult_matrix
 from .projective import DEFAULT_TOL, LinePoint, random_unit, sphere_to_line
 
 Matrix = list[list[int]]
@@ -231,8 +231,8 @@ def _chain_from_orders(orders: Iterable[int]) -> tuple[int, ...]:
     """
     chain: list[int] = []
     for d in orders:
-        d = abs(int(d))
-        if d <= 1:
+        d = _int_arg("order", d, 1)
+        if d == 1:
             continue
         for i, c in enumerate(chain):
             g = gcd(c, d)
@@ -254,16 +254,12 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
-        prev = None
-        for t in self.torsion:
-            if t < 2:
-                raise ValueError(f"torsion coefficient {t} must be >= 2")
-            if prev is not None and t % prev != 0:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
-            prev = t
+        object.__setattr__(self, "rank", _int_arg("rank", self.rank, 0))
+        torsion = tuple([_int_arg("torsion coefficient", t, 2) for t in self.torsion])
+        object.__setattr__(self, "torsion", torsion)
+        for prev, t in zip(torsion, torsion[1:]):
+            if t % prev:
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
 
     @classmethod
     def from_parts(cls, rank: int, orders: Iterable[int] = ()) -> "AbelianGroup":
@@ -300,8 +296,7 @@ class CoefficientSpec:
         if self.kind not in ("Z", "Zmod", "Q"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "Zmod":
-            if self.modulus is None or self.modulus < 2:
-                raise ValueError("modular coefficients need a modulus >= 2")
+            object.__setattr__(self, "modulus", _int_arg("modulus", self.modulus, 2))
         elif self.modulus is not None:
             raise ValueError(f"{self.kind} coefficients take no modulus")
 
@@ -343,9 +338,7 @@ class CWDescription:
     """
 
     def __init__(self, cells: Iterable[tuple[str, int]], boundaries: Mapping[int, object]):
-        self.cells = tuple((str(cid), int(dim)) for cid, dim in cells)
-        if any(dim < 0 for _, dim in self.cells):
-            raise ValueError("cell dimensions must be non-negative")
+        self.cells = tuple((str(cid), _int_arg("cell dimension", dim, 0)) for cid, dim in cells)
         counts: dict[int, int] = {}
         for _, dim in self.cells:
             counts[dim] = counts.get(dim, 0) + 1
@@ -354,15 +347,12 @@ class CWDescription:
 
         mats: dict[int, Matrix] = {}
         for d, mat in boundaries.items():
+            d = _int_arg("boundary degree", d, 0)
             mat = _to_int_matrix(mat)
-            rows = len(mat)
-            cols = len(mat[0]) if mat else 0
-            if (rows, cols) != (self.cell_count(d - 1), self.cell_count(d)):
-                raise ValueError(
-                    f"boundary {d} has shape {(rows, cols)}, expected "
-                    f"{(self.cell_count(d - 1), self.cell_count(d))}"
-                )
-            mats[int(d)] = mat
+            expected = (self.cell_count(d - 1), self.cell_count(d))
+            if _shape(mat) != expected:
+                raise ValueError(f"boundary {d} has shape {_shape(mat)}, expected {expected}")
+            mats[d] = mat
         self._boundaries = mats
 
         for d in range(1, self.max_dim + 1):
@@ -485,10 +475,8 @@ def multiplication_bidegree(level: int, samples: int, seed: int = 0) -> tuple[in
     is the exact desk-scale proxy for the Hopf invariant of the attaching
     construction.
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"bidegree proxy supports levels 1..3, got {level}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    level = _int_arg("level", level, 1, 3)
+    samples = _int_arg("samples", samples, 1)
     rng = random.Random(seed)
     left_signs: set[int] = set()
     right_signs: set[int] = set()
@@ -570,10 +558,8 @@ def linking_hopf_invariant(
     the numerical oracle for the complex case, independent of the bidegree
     proxy.
     """
-    if segments < 64:
-        raise ValueError(f"segments must be >= 64, got {segments}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    segments = _int_arg("segments", segments, 64)
+    samples = _int_arg("samples", samples, 1)
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(samples):

@@ -555,6 +555,15 @@ def test_inner_product_formula_is_real():
         assert s.coords[0] == 2 * inner_product(x, y)
 
 
+def test_real_scalars_multiply_on_either_side():
+    # a real scalar s acts as the element s e_0, which commutes with everything
+    x = CDNumber(2, (1, -2, Fraction(1, 3), 0))
+    for s in (3, Fraction(-1, 2), 0.5):
+        as_element = CDNumber.from_scalar(s, 2)
+        assert s * x == x * s == as_element * x == x * as_element
+    assert 3 * x == CDNumber(2, (3, -6, 1, 0))
+
+
 # -- serialization and value semantics ---------------------------------------
 
 

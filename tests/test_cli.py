@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from octoplane import cli, projective, properties, topology
-from octoplane.algebra import CDNumber
+from octoplane.algebra import CDNumber, LevelMismatchError
 from octoplane.cli import main
 
 # the output pins: each entry is a CLI argv or a demo path with the sha256 of its stdout
@@ -293,6 +293,21 @@ def test_mathematical_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(topology, "linking_hopf_invariant", off_integer)
     assert main(["hopf", "--mode", "linking"]) == 1
     assert "too far from an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error", [projective.MembershipError, projective.OutsideChartError, LevelMismatchError]
+)
+def test_failures_inside_a_handler_exit_1(capsys, monkeypatch, error):
+    # these are ValueErrors, but no input raises them mid-run: the handler
+    # checked the dimension before it built a point
+    def fail(f, u, v):
+        raise error("raised mid-run")
+
+    monkeypatch.setattr(projective, "chart_backward", fail)
+    assert main(["chart-roundtrip", "--level", "2", "--samples", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: raised mid-run\n"
 
 
 def test_sampled_checks_fail_on_a_nan_error(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octoplane import projective
-from octoplane.algebra import CDNumber, LevelMismatchError, basis_element
+from octoplane.algebra import CDNumber, LevelMismatchError, associator, basis_element
 from octoplane.projective import (
     Functional,
     InvariantSextuple,
@@ -273,6 +273,10 @@ def test_checks_at_exactly_the_tolerance():
     assert not in_chart_domain(coordinate_functional(2), p)
     with pytest.raises(OutsideChartError):
         chart_forward(coordinate_functional(2), p)
+    # [e1, e2, t e4] = 2t e7, so t = TOL / 2 puts the associator at exactly TOL
+    e1, e2, t_e4 = basis_element(3, 1), basis_element(3, 2), basis_element(3, 4) * (TOL / 2)
+    assert associator(e1, e2, t_e4) == basis_element(3, 7) * TOL
+    projective._associator_span(e1, e2, t_e4)
 
 
 def test_max_difference_keeps_a_nan():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -59,6 +60,8 @@ def snf_is_valid(matrix):
 def test_snf_zero_matrix():
     diag = snf_is_valid([[0, 0], [0, 0], [0, 0]])
     assert diag == [0, 0]
+    # no rows, so no columns either: every part of the result is empty
+    assert smith_normal_form([]) == ([], [], [])
 
 
 def test_snf_single_entry():
@@ -465,6 +468,16 @@ def test_gauss_linking_reference_configurations():
     threaded = np.stack([1.0 + np.cos(th), 0.0 * th, np.sin(th)], axis=1)
     linked = gauss_linking_number(circle_xy, threaded)
     assert abs(abs(linked) - 1.0) < 1e-2
+    # the midpoint rule term by term, on two small polygons with different vertex counts
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+    total = 0.0
+    for i, j in itertools.product(range(len(a)), range(len(b))):
+        a0, a1, b0, b1 = a[i], a[(i + 1) % len(a)], b[j], b[(j + 1) % len(b)]
+        diff = (a0 + a1) / 2.0 - (b0 + b1) / 2.0
+        total += diff @ np.cross(a1 - a0, b1 - b0) / np.linalg.norm(diff) ** 3
+    expected = total / (4.0 * math.pi)
+    assert gauss_linking_number(a, b) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_fiber_circle_lies_on_three_sphere():
