@@ -26,11 +26,15 @@ same gather layout.
 Coordinates may be exact (int / Fraction, no rounding anywhere) or
 double-precision floats.  All values are immutable and every operation
 is a pure function, so everything here is safe to share across threads.
+
+A public function of the package that refuses an argument's type, range
+or shape raises ``ArgumentError``, a ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,12 +50,19 @@ Scalar = Union[int, Fraction, float]
 #: grow as 4^level.
 TABLE_LEVEL_CAP = 6
 
+#: No tuple holds 2^level coordinates above this level.
+_MAX_LEVEL = sys.maxsize.bit_length() - 1
+
+
+class ArgumentError(ValueError):
+    """Raised when a public function rejects an argument its caller passed."""
+
 
 class LevelMismatchError(ValueError):
     """Raised when a binary operation mixes numbers of different levels."""
 
 
-class TableSizeError(ValueError):
+class TableSizeError(ArgumentError):
     """Raised when a requested multiplication table would be too large."""
 
 
@@ -64,7 +75,7 @@ def _int_arg(name: str, value, low: int, high: float = math.inf) -> int:
 
     An int, a numpy integer, or a float or Fraction equal to an int passes
     when it lies in [low, high].  A bool, a non-integral value, NaN, an
-    infinity, a string or None raises one ValueError that names the
+    infinity, a string or None raises one ArgumentError that names the
     argument and its range.
     """
     if type(value) is int or not isinstance(value, (bool, np.bool_)):  # ints skip a slow check
@@ -75,7 +86,24 @@ def _int_arg(name: str, value, low: int, high: float = math.inf) -> int:
         except (TypeError, ValueError, OverflowError):  # None, a string, a NaN, an infinity
             pass
     bounds = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
-    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    raise ArgumentError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+#: The coordinate types a ``CDNumber`` stores.
+_SCALAR_TYPES = frozenset((int, Fraction, float))
+
+
+def _coordinate(value) -> Scalar:
+    """``value`` as a coordinate: an int, Fraction or float is kept, a numpy
+    integer becomes an int and a numpy float a float.  A bool, a complex
+    number, a string, None or any other type raises ArgumentError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)  # a numpy bool is no np.integer, so it is refused below
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, Fraction):
+        return value
+    raise ArgumentError(f"coordinates must be ints, Fractions or floats, got {value!r}")
 
 
 def _is_exact(value: Scalar) -> bool:
@@ -287,6 +315,10 @@ class CDNumber(_FrozenSlots):
     level-(n+1) pair (a, b) stores a's coordinates in the first half and
     b's in the second, so embeddings between levels preserve indices.
     Equality and hashing compare (level, coords).
+
+    The level follows the integer rule (``_int_arg``), and each coordinate
+    is stored as an int, Fraction or float (``_coordinate``).  Arithmetic
+    can only yield those, so its results skip both checks (``_cd``).
     """
 
     __slots__ = ("level", "coords")
@@ -294,13 +326,14 @@ class CDNumber(_FrozenSlots):
     coords: tuple
 
     def __init__(self, level: int, coords: Iterable[Scalar]):
+        level = _int_arg("level", level, 0, _MAX_LEVEL)
         coords = tuple(coords)
-        if level < 0:
-            raise ValueError(f"level must be non-negative, got {level}")
         if len(coords) != 1 << level:
-            raise ValueError(
+            raise ArgumentError(
                 f"level {level} needs {1 << level} coordinates, got {len(coords)}"
             )
+        if not _SCALAR_TYPES.issuperset(map(type, coords)):
+            coords = tuple(map(_coordinate, coords))
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coords", coords)
 
@@ -308,7 +341,7 @@ class CDNumber(_FrozenSlots):
 
     @classmethod
     def zero(cls, level: int) -> "CDNumber":
-        return cls(level, (0,) * (1 << level))
+        return cls.from_scalar(0, level)
 
     @classmethod
     def one(cls, level: int) -> "CDNumber":
@@ -316,12 +349,14 @@ class CDNumber(_FrozenSlots):
 
     @classmethod
     def basis(cls, level: int, index: int) -> "CDNumber":
+        level = _int_arg("level", level, 0, _MAX_LEVEL)
         dim = 1 << level
         index = _int_arg("basis index", index, 0, dim - 1)
         return cls(level, tuple(1 if i == index else 0 for i in range(dim)))
 
     @classmethod
     def from_scalar(cls, value: Scalar, level: int) -> "CDNumber":
+        level = _int_arg("level", level, 0, _MAX_LEVEL)
         return cls(level, (value,) + (0,) * ((1 << level) - 1))
 
     # -- ring operations ----------------------------------------------
@@ -336,36 +371,39 @@ class CDNumber(_FrozenSlots):
         if not isinstance(other, CDNumber):
             return NotImplemented
         self._require_same_level(other)
-        return CDNumber(self.level, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _cd(self.level, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, CDNumber):
             return NotImplemented
         self._require_same_level(other)
-        return CDNumber(self.level, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _cd(self.level, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return CDNumber(self.level, tuple(-a for a in self.coords))
+        return _cd(self.level, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, CDNumber):
             self._require_same_level(other)
-            return CDNumber(self.level, _mul_coords(self.level, self.coords, other.coords))
+            return _cd(self.level, _mul_coords(self.level, self.coords, other.coords))
         if isinstance(other, (int, float, Fraction)):
-            return CDNumber(self.level, tuple(a * other for a in self.coords))
+            other = _coordinate(other)
+            return _cd(self.level, tuple(a * other for a in self.coords))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            return CDNumber(self.level, tuple(other * a for a in self.coords))
+            other = _coordinate(other)
+            return _cd(self.level, tuple(other * a for a in self.coords))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, Fraction)):
+            other = _coordinate(other)
             if _is_exact(other) and self.is_exact():
                 inv = Fraction(1, 1) / other
-                return CDNumber(self.level, tuple(a * inv for a in self.coords))
-            return CDNumber(self.level, tuple(a / other for a in self.coords))
+                return _cd(self.level, tuple(a * inv for a in self.coords))
+            return _cd(self.level, tuple(a / other for a in self.coords))
         return NotImplemented
 
     # -- conjugation, norm, inverse ------------------------------------
@@ -376,7 +414,7 @@ class CDNumber(_FrozenSlots):
         Equals the recursive rule (a, b)* = (a*, -b) unrolled.
         """
         c = self.coords
-        return CDNumber(self.level, (c[0],) + tuple(-a for a in c[1:]))
+        return _cd(self.level, (c[0],) + tuple(-a for a in c[1:]))
 
     def norm_sq(self) -> Scalar:
         """Squared norm, the sum of squared coordinates (kept exact when possible)."""
@@ -409,7 +447,7 @@ class CDNumber(_FrozenSlots):
         """Zero-pad into a higher level; an index-preserving algebra map."""
         target_level = _int_arg("target level", target_level, self.level)
         pad = (1 << target_level) - (1 << self.level)
-        return CDNumber(target_level, self.coords + (0,) * pad)
+        return _cd(target_level, self.coords + (0,) * pad)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -429,6 +467,19 @@ class CDNumber(_FrozenSlots):
             terms.append(str(a) if i == 0 else f"{a}*e{i}")
         body = " + ".join(terms) if terms else "0"
         return f"CDNumber(level={self.level}: {body})"
+
+
+_set_level, _set_coords = CDNumber.level.__set__, CDNumber.coords.__set__
+
+
+def _cd(level: int, coords: tuple) -> CDNumber:
+    """A ``CDNumber`` made without ``__init__``'s checks, for coordinates that
+    can only be ints, Fractions or floats: what arithmetic yields, and integer
+    rows read back with ``tolist``.  ``coords`` is a tuple of 2^level of them."""
+    x = object.__new__(CDNumber)
+    _set_level(x, level)
+    _set_coords(x, coords)
+    return x
 
 
 # -- module-level operations ------------------------------------------
@@ -547,23 +598,23 @@ def cd_to_json(x: CDNumber) -> dict:
 
 
 def cd_from_json(data: dict) -> CDNumber:
-    """Read back what ``cd_to_json`` writes; anything else raises ValueError.
+    """Read back what ``cd_to_json`` writes; anything else raises ArgumentError.
 
     The level must be an integral number and the coordinates a list of
     'num/den' strings (exact) or numbers (floats), bools excluded: a string
     would pass as a sequence of one-character coordinates.
     """
     if not isinstance(data, dict) or not {"level", "coords"} <= data.keys():
-        raise ValueError(f"expected an object with 'level' and 'coords', got {data!r}")
+        raise ArgumentError(f"expected an object with 'level' and 'coords', got {data!r}")
     level, coords = _int_arg("level", data["level"], 0), data["coords"]
     if not isinstance(coords, list) or not all(
         isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in coords
     ):
-        raise ValueError(f"coords must be a list of strings or numbers, got {coords!r}")
+        raise ArgumentError(f"coords must be a list of strings or numbers, got {coords!r}")
     if len(coords).bit_length() != level + 1:  # also keeps 1 << level small
-        raise ValueError(f"level {level} needs 2^{level} coordinates, got {len(coords)}")
+        raise ArgumentError(f"level {level} needs 2^{level} coordinates, got {len(coords)}")
     try:
         values = tuple(scalar_from_json(v) for v in coords)
     except (ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"bad coordinate in {coords!r}: {exc}") from exc
+        raise ArgumentError(f"bad coordinate in {coords!r}: {exc}") from exc
     return CDNumber(level, values)

@@ -2,9 +2,9 @@
 
 Every sampling path is driven by an explicit seed so identical
 invocations produce byte-identical output.  Exit codes: 0 when results
-match the known expectations for the tower, 1 on mismatch or internal
-inconsistency, 2 on usage errors, input values the command rejects
-included.
+match the known expectations for the tower, 1 on a mismatch or any other
+error raised during the run, and 2 when the parser or an ``ArgumentError``
+rejects the input, with the usage line.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import properties, projective, topology
-from .algebra import CDNumber, LevelMismatchError, _max_size, build_table, cd_to_json
+from .algebra import ArgumentError, CDNumber, _int_arg, _max_size, build_table, cd_to_json
 
 AUDIT_PROPERTIES = (
     "commutative",
@@ -183,17 +183,15 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     return 0
 
 
-class UsageError(Exception):
-    """Options the parser accepts one by one but the command cannot use together."""
-
-
 def _cmd_hopf(args: argparse.Namespace) -> int:
     # each mode reads one option the other does not; both default to None,
     # so that one given to the wrong mode shows
     foreign = {"bidegree": ("segments", "linking"), "linking": ("level", "bidegree")}
     option, owner = foreign[args.mode]
     if getattr(args, option) is not None:
-        raise UsageError(f"hopf --mode {args.mode} does not read --{option}, a {owner}-mode option")
+        raise ArgumentError(
+            f"hopf --mode {args.mode} does not read --{option}, a {owner}-mode option"
+        )
     if args.mode == "bidegree":
         level = 3 if args.level is None else args.level
         left, right = topology.multiplication_bidegree(level, args.samples, seed=args.seed)
@@ -251,42 +249,69 @@ def _cmd_audit_all(args: argparse.Namespace) -> int:
     return 0 if all_match else 1
 
 
+def _int_type(name: str, low: int) -> Callable[[str], int]:
+    """An argparse type that reads an option's text by the integer rule, ``_int_arg``."""
+
+    def integer(text: str) -> int:  # argparse reports text int() refuses as "invalid integer value"
+        try:
+            return _int_arg(name, int(text), low)
+        except ArgumentError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return integer
+
+
+SAMPLES = (
+    "--samples", dict(type=_int_type("samples", 1), default=100, help="random samples per check")
+)
+SEED = ("--seed", dict(type=_int_type("seed", 0), default=0, help="PRNG seed; echoed in reports"))
+
+
+def _level(default: Optional[int]) -> tuple:
+    """The --level option; the library, not the parser, checks its range."""
+    help = "algebra level (or dimension for chart commands)"
+    return ("--level", dict(type=int, default=default, help=help))
+
+
 class Command(NamedTuple):
-    """One subcommand: its handler, the shared options it reads and its own arguments."""
+    """One subcommand: its handler, its help line and its options, as
+    (flag, add_argument keywords) pairs."""
 
     handler: Callable[[argparse.Namespace], int]
     help: str
-    shared: tuple[str, ...] = ()  # flags from SHARED_OPTIONS, in that order
-    default_level: Optional[int] = None  # for commands that read --level
-    arguments: tuple = ()  # (flag, add_argument keywords) pairs
+    arguments: tuple = ()
 
 
 COMMANDS: dict[str, Command] = {
-    "table": Command(_cmd_table, "signed basis multiplication table", ("--level",), 3),
+    "table": Command(_cmd_table, "signed basis multiplication table", (_level(3),)),
     "check": Command(
         _cmd_check,
         "run one property checker",
-        ("--level", "--samples", "--seed"),
-        3,
-        (("--property", dict(required=True, choices=sorted(_CHECKERS), help="property to check")),),
+        (
+            _level(3),
+            SAMPLES,
+            SEED,
+            (
+                "--property",
+                dict(required=True, choices=sorted(_CHECKERS), help="property to check"),
+            ),
+        ),
     ),
-    "zero-divisors": Command(_cmd_zero_divisors, "two-term zero-divisor scan", ("--level",), 4),
+    "zero-divisors": Command(_cmd_zero_divisors, "two-term zero-divisor scan", (_level(4),)),
     "chart-roundtrip": Command(
         _cmd_chart_roundtrip,
         "chart round-trip errors; --level is 1|2|4|8",
-        ("--level", "--samples", "--seed"),
-        8,
+        (_level(8), SAMPLES, SEED),
     ),
     "equiv-check": Command(
         _cmd_equiv_check,
         "equivalence invariance; --level is 1|2|4|8",
-        ("--level", "--samples", "--seed"),
-        8,
+        (_level(8), SAMPLES, SEED),
     ),
     "cohomology": Command(
         _cmd_cohomology,
         "cellular cohomology of a built-in space",
-        arguments=(
+        (
             ("--space", dict(required=True, choices=tuple(topology._BUILTIN_BUILDERS))),
             ("--coeffs", dict(default="Z", help="Z, Q, or Zmod:m")),
         ),
@@ -294,31 +319,15 @@ COMMANDS: dict[str, Command] = {
     "hopf": Command(
         _cmd_hopf,
         "hopf-invariant proxies",
-        ("--level", "--samples", "--seed"),
-        None,  # bidegree mode's default, 3, is filled in by the handler
         (
+            _level(None),  # bidegree mode's default, 3, is filled in by the handler
+            SAMPLES,
+            SEED,
             ("--mode", dict(choices=("bidegree", "linking"), default="bidegree")),
             ("--segments", dict(type=int, help="polygon segments for linking mode")),
         ),
     ),
-    "audit-all": Command(
-        _cmd_audit_all, "full expectation matrix, levels 0-4", ("--samples", "--seed")
-    ),
-}
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-#: Options several subcommands share; each reads only those its entry lists.
-SHARED_OPTIONS = {
-    "--level": dict(type=int, help="algebra level (or dimension for chart commands)"),
-    "--samples": dict(type=positive_int, default=100, help="random samples per check"),
-    "--seed": dict(type=int, default=0, help="PRNG seed; echoed in reports"),
+    "audit-all": Command(_cmd_audit_all, "full expectation matrix, levels 0-4", (SAMPLES, SEED)),
 }
 
 
@@ -330,13 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sub_parser = sub.add_parser(name, help=command.help)
-        for flag in command.shared:
-            sub_parser.add_argument(flag, **SHARED_OPTIONS[flag])
-        if "--level" in command.shared:
-            sub_parser.set_defaults(level=command.default_level)
-        sub_parser.add_argument("--json", action="store_true", help="machine-readable output")
         for flag, keywords in command.arguments:
             sub_parser.add_argument(flag, **keywords)
+        sub_parser.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -345,17 +350,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command].handler(args)
-    except UsageError as exc:
+    except ArgumentError as exc:
         parser.error(str(exc))  # exits 2 with the usage line
-    except (
-        topology.InconsistencyError, topology.GeometryError, projective.SeparationError,
-        projective.MembershipError, projective.OutsideChartError, LevelMismatchError,
-    ) as exc:  # failures mid-run: no input raises these, as arguments are checked first
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

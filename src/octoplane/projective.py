@@ -36,7 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CDNumber, LevelMismatchError, _FrozenSlots, _int_arg, _max_size, associator
+from .algebra import (
+    ArgumentError, CDNumber, LevelMismatchError, _FrozenSlots, _int_arg, _max_size, associator,
+)
 
 DEFAULT_TOL = 1e-9
 #: Algebra dimensions the plane construction supports.
@@ -64,7 +66,7 @@ class SeparationError(RuntimeError):
 def level_for_dim(dim: int) -> int:
     dim = _int_arg("dimension", dim, 1, 8)
     if dim not in SUPPORTED_DIMS:
-        raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
+        raise ArgumentError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
     return dim.bit_length() - 1
 
 
@@ -207,9 +209,9 @@ class Functional(_FrozenSlots):
     def __post_init__(self):
         coeffs = tuple(map(float, (self.a, self.b, self.c)))
         if not all(map(math.isfinite, coeffs)):
-            raise ValueError(f"functional coefficients must be finite, got {coeffs}")
+            raise ArgumentError(f"functional coefficients must be finite, got {coeffs}")
         if not any(coeffs):
-            raise ValueError("functional coefficients must not all vanish")
+            raise ArgumentError("functional coefficients must not all vanish")
         for name, value in zip(("a", "b", "c"), coeffs):
             object.__setattr__(self, name, value)
 

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _Batch, _int_arg, _max_abs, _signs, cd_to_json
+from .algebra import CDNumber, _Batch, _cd, _int_arg, _max_abs, _signs, cd_to_json
 from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
 MAX_CHECK_LEVEL = 6
@@ -161,7 +161,7 @@ def _first_hit(
         hits = violates(*slots)
         first = int(hits.argmax())
         if hits[first]:
-            witness = tuple(CDNumber(s.level, s.rows[first].tolist()) for s in slots)
+            witness = tuple(_cd(s.level, tuple(s.rows[first].tolist())) for s in slots)
             return start + first + 1, witness
         start, size = stop, min(2 * size, _MAX_CHUNK)
     return total, None
@@ -205,6 +205,7 @@ def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
     until below the width.  No element is built, and only what is read is
     drawn, so the stream must be read in order, from candidate 0 on.
     """
+    seed = _int_arg("seed", seed, 0)
     rng, span, width = random.Random(seed), RANDOM_EXACT_SPAN, 2 * RANDOM_EXACT_SPAN + 1
     bits = map(rng.getrandbits, itertools.repeat(width.bit_length()))
 
@@ -309,7 +310,7 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     if level <= 3:
         return []
     dim = 1 << level
-    terms = [CDNumber(level, r) for r in _two_term_rows(level).tolist()]
+    terms = [_cd(level, tuple(r)) for r in _two_term_rows(level).tolist()]
     # e_k + t*e_l (k < l) is terms[2 * (offset[k] + l) + (t < 0)]
     offset = [k * (2 * dim - k - 3) // 2 - 1 for k in range(dim)]
     signs = _signs(level)

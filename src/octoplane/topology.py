@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _int_arg, left_mult_matrix, right_mult_matrix
+from .algebra import ArgumentError, CDNumber, _int_arg, left_mult_matrix, right_mult_matrix
 from .projective import DEFAULT_TOL, LinePoint, random_unit, sphere_to_line
 
 Matrix = list[list[int]]
@@ -51,12 +51,12 @@ def _to_int_matrix(matrix) -> Matrix:
             except (OverflowError, ValueError):  # an infinity, a NaN, a non-numeric string
                 integral = False
             if not integral:
-                raise ValueError(f"matrix entry {v!r} is not an integer")
+                raise ArgumentError(f"matrix entry {v!r} is not an integer")
             out.append(iv)
         rows.append(out)
     widths = {len(r) for r in rows}
     if len(widths) > 1:
-        raise ValueError("ragged matrix")
+        raise ArgumentError("ragged matrix")
     return rows
 
 
@@ -76,7 +76,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     out = _zeros(len(a), len(b[0]))
     for i, row in enumerate(a):
         if len(row) != n_inner:
-            raise ValueError("shape mismatch")
+            raise ArgumentError("shape mismatch")
         orow = out[i]
         for k, v in enumerate(row):
             if v == 0:
@@ -259,7 +259,7 @@ class AbelianGroup:
         object.__setattr__(self, "torsion", torsion)
         for prev, t in zip(torsion, torsion[1:]):
             if t % prev:
-                raise ValueError(f"torsion {torsion} is not a divisibility chain")
+                raise ArgumentError(f"torsion {torsion} is not a divisibility chain")
 
     @classmethod
     def from_parts(cls, rank: int, orders: Iterable[int] = ()) -> "AbelianGroup":
@@ -294,11 +294,11 @@ class CoefficientSpec:
 
     def __post_init__(self):
         if self.kind not in ("Z", "Zmod", "Q"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+            raise ArgumentError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "Zmod":
             object.__setattr__(self, "modulus", _int_arg("modulus", self.modulus, 2))
         elif self.modulus is not None:
-            raise ValueError(f"{self.kind} coefficients take no modulus")
+            raise ArgumentError(f"{self.kind} coefficients take no modulus")
 
     @classmethod
     def parse(cls, text: str) -> "CoefficientSpec":
@@ -314,7 +314,7 @@ class CoefficientSpec:
                 pass  # not a number: the message below names the forms
             else:
                 return cls("Zmod", modulus)
-        raise ValueError(f"cannot parse coefficients {text!r}; use Z, Q or Zmod:m")
+        raise ArgumentError(f"cannot parse coefficients {text!r}; use Z, Q or Zmod:m")
 
     def __str__(self):
         if self.kind == "Zmod":
@@ -351,7 +351,7 @@ class CWDescription:
             mat = _to_int_matrix(mat)
             expected = (self.cell_count(d - 1), self.cell_count(d))
             if _shape(mat) != expected:
-                raise ValueError(f"boundary {d} has shape {_shape(mat)}, expected {expected}")
+                raise ArgumentError(f"boundary {d} has shape {_shape(mat)}, expected {expected}")
             mats[d] = mat
         self._boundaries = mats
 
@@ -361,7 +361,7 @@ class CWDescription:
             if lower and upper and any(
                 any(x != 0 for x in row) for row in mat_mul(lower, upper)
             ):
-                raise ValueError(f"boundary composite at dimension {d + 1} is nonzero")
+                raise ArgumentError(f"boundary composite at dimension {d + 1} is nonzero")
 
     def cell_count(self, dim: int) -> int:
         return self._counts.get(dim, 0)
@@ -425,6 +425,7 @@ def homology(cw: CWDescription, k: int) -> AbelianGroup:
 
     The torsion is the chain of invariant factors of boundary_(k+1) above 1.
     """
+    k = _int_arg("degree", k, 0)
     rank, _, upper = _degree_factors(cw, k, _boundary_factors(cw, (k, k + 1)))
     return AbelianGroup(rank, tuple(f for f in upper if f > 1))
 
@@ -441,6 +442,7 @@ def cohomology(
     universal-coefficient bookkeeping
     H^k(C; Z/m) = H^k(C; Z) (x) Z/m  (+)  Tor(H^(k+1)(C; Z), Z/m).
     """
+    k = _int_arg("degree", k, 0)
     return _cohomology(cw, k, coefficients, _boundary_factors(cw, (k, k + 1)))
 
 
@@ -477,7 +479,7 @@ def multiplication_bidegree(level: int, samples: int, seed: int = 0) -> tuple[in
     """
     level = _int_arg("level", level, 1, 3)
     samples = _int_arg("samples", samples, 1)
-    rng = random.Random(seed)
+    rng = random.Random(_int_arg("seed", seed, 0))
     left_signs: set[int] = set()
     right_signs: set[int] = set()
     for _ in range(samples):
@@ -520,7 +522,7 @@ def fiber_circle(point: LinePoint, segments: int) -> np.ndarray:
     (a, b)(c, d) = (ac - bd, ad + bc) is taken at all of them at once.
     """
     if point.level != 1:
-        raise ValueError("fiber circles are built at the complex level")
+        raise ArgumentError("fiber circles are built at the complex level")
     theta = 2.0 * math.pi * np.arange(segments) / segments
     c, d = np.cos(theta), np.sin(theta)
     (xa, xb), (ya, yb) = point.x.coords, point.y.coords
@@ -560,7 +562,7 @@ def linking_hopf_invariant(
     """
     segments = _int_arg("segments", segments, 64)
     samples = _int_arg("samples", samples, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_arg("seed", seed, 0))
     values = []
     for _ in range(samples):
         for _attempt in range(64):

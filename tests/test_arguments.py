@@ -1,10 +1,11 @@
 """One rule for the public integer arguments: levels, dimensions, indices,
-sample counts, ranks, orders and moduli.
+sample counts, seeds, degrees, ranks, orders and moduli; and one for the
+coordinates of a ``CDNumber``.
 
 Every entry point takes an int, a numpy integer, or a float or Fraction
 equal to an int, and works on the Python int it equals, so what it returns
 serialises with ``json.dumps``.  A bool, a non-integral value, NaN, an
-infinity, a string, None or a value outside the range raises ValueError.
+infinity, a string, None or a value outside the range raises ArgumentError.
 """
 
 import dataclasses
@@ -18,12 +19,22 @@ import numpy as np
 import pytest
 
 from octoplane import properties
-from octoplane.algebra import CDNumber, TableSizeError, build_table, cd_from_json, cd_to_json
+from octoplane.algebra import (
+    ArgumentError,
+    CDNumber,
+    TableSizeError,
+    build_table,
+    cd_from_json,
+    cd_to_json,
+)
 from octoplane.projective import level_for_dim
 from octoplane.topology import (
     AbelianGroup,
     CoefficientSpec,
     CWDescription,
+    builtin_cw,
+    cohomology,
+    homology,
     linking_hopf_invariant,
     multiplication_bidegree,
 )
@@ -59,8 +70,8 @@ CHECKERS = {
 }
 
 
-def _two_generated(level, samples):
-    return properties.check_two_generated_associativity(level, samples).to_json()
+def _two_generated(level, samples, seed=0):
+    return properties.check_two_generated_associativity(level, samples, seed).to_json()
 
 
 def _zmod(modulus):
@@ -72,6 +83,15 @@ RP2_CELLS = [("v", 0), ("a", 1), ("f", 2)]
 
 ENTRIES = {
     "build_table": Entry("level", lambda v: build_table(v).to_json(), 2, -1, 7),
+    # no tuple holds 2^63 coordinates, so level 63 is refused before any is made
+    "CDNumber level": Entry("level", lambda v: cd_to_json(CDNumber(v, (1, 2))), 1, -1, 63),
+    "CDNumber.zero": Entry("level", lambda v: cd_to_json(CDNumber.zero(v)), 2, -1, 63),
+    "CDNumber.basis level": Entry(
+        "level", lambda v: cd_to_json(CDNumber.basis(v, 1)), 2, -1, 63
+    ),
+    "CDNumber.from_scalar": Entry(
+        "level", lambda v: cd_to_json(CDNumber.from_scalar(3, v)), 2, -1, 63
+    ),
     "CDNumber.basis": Entry("basis index", lambda v: cd_to_json(CDNumber.basis(2, v)), 3, -1, 4),
     "CDNumber.embed": Entry(
         "target level", lambda v: cd_to_json(CDNumber.basis(2, 1).embed(v)), 3, 1
@@ -89,8 +109,13 @@ ENTRIES = {
         f"check_{name} samples": Entry("samples", lambda v, c=check: c(1, v).to_json(), 2, 0)
         for name, check in CHECKERS.items()
     },
+    **{
+        f"check_{name} seed": Entry("seed", lambda v, c=check: c(1, 2, seed=v).to_json(), 3, -1)
+        for name, check in CHECKERS.items()
+    },
     "check_two_generated level": Entry("level", lambda v: _two_generated(v, 2), 2, -1, 5),
     "check_two_generated samples": Entry("samples", lambda v: _two_generated(1, v), 2, 0),
+    "check_two_generated seed": Entry("seed", lambda v: _two_generated(1, 2, v), 3, -1),
     "check_division": Entry("level", lambda v: properties.check_division(v).to_json(), 4, -1, 7),
     "find_zero_divisors": Entry(
         "level", lambda v: _pairs(properties.find_zero_divisors(v)), 4, -1, 7
@@ -120,6 +145,14 @@ ENTRIES = {
     "multiplication_bidegree samples": Entry(
         "samples", lambda v: multiplication_bidegree(1, v), 2, 0
     ),
+    "multiplication_bidegree seed": Entry(
+        "seed", lambda v: multiplication_bidegree(1, 2, seed=v), 3, -1
+    ),
+    "linking_hopf_invariant seed": Entry(
+        "seed", lambda v: linking_hopf_invariant(samples=1, segments=64, seed=v), 3, -1
+    ),
+    "homology": Entry("degree", lambda v: homology(builtin_cw("RP2"), v).to_json(), 1, -1),
+    "cohomology": Entry("degree", lambda v: cohomology(builtin_cw("RP2"), v).to_json(), 2, -1),
     "linking_hopf_invariant samples": Entry(
         "samples", lambda v: linking_hopf_invariant(samples=v, segments=64), 1, 0
     ),
@@ -155,7 +188,7 @@ ACCEPTED = {
     [(e, k) for e in ENTRIES for k in REFUSED if k != "above" or ENTRIES[e].above is not None],
 )
 def test_integer_arguments_refuse_what_is_no_integer_in_range(entry, kind):
-    with pytest.raises(ValueError) as error:
+    with pytest.raises(ArgumentError) as error:
         ENTRIES[entry].call(REFUSED[kind](ENTRIES[entry]))
     if not isinstance(error.value, TableSizeError):  # build_table's cap has its own error
         assert str(error.value).startswith(f"{ENTRIES[entry].name} must be an integer ")
@@ -168,3 +201,46 @@ def test_integer_arguments_accept_integral_numbers_as_plain_ints(entry, kind):
     payload = call(ACCEPTED[kind](valid))
     # json.dumps refuses a numpy integer, so this shows every int is a plain one
     assert json.dumps(payload) == json.dumps(call(valid))
+
+
+#: Coordinates no ``CDNumber`` stores.
+REFUSED_COORDINATES = {
+    "bool": True,
+    "numpy bool": np.True_,
+    "complex": 1j,
+    "numpy complex": np.complex128(1),
+    "string": "1",
+    "None": None,
+}
+
+
+@pytest.mark.parametrize("kind", REFUSED_COORDINATES)
+def test_coordinates_refuse_what_is_no_real_scalar(kind):
+    value = REFUSED_COORDINATES[kind]
+    with pytest.raises(ArgumentError, match="coordinates must be ints, Fractions or floats"):
+        CDNumber(1, (2, value))
+    with pytest.raises(ArgumentError, match="coordinates must be"):
+        CDNumber.from_scalar(value, 1)
+
+
+def test_the_top_level_is_checked_by_its_coordinate_count():
+    with pytest.raises(ArgumentError, match=f"level 62 needs {2**62} coordinates, got 2"):
+        CDNumber(62, (1, 2))
+
+
+def test_numpy_coordinates_are_stored_as_python_scalars():
+    # int64 products would wrap: (2^40)^2 is past 2^63
+    x = CDNumber(1, tuple(np.array([2**40, 3])))
+    assert [type(c) for c in x.coords] == [int, int]
+    assert (x * x).coords == (2**80 - 9, 3 * 2**41)
+    y = CDNumber(1, (np.float64(0.5), np.float32(2.0)))
+    assert [type(c) for c in y.coords] == [float, float] and y.coords == (0.5, 2.0)
+    assert [type(c) for c in (x * np.float64(0.5)).coords] == [float, float]
+    assert [type(c) for c in (x / np.float64(2.0)).coords] == [float, float]
+
+
+def test_scaling_refuses_a_bool():
+    x = CDNumber(1, (1, 2))
+    for scale in (lambda: x * True, lambda: False * x, lambda: x / True):
+        with pytest.raises(ArgumentError):
+            scale()

@@ -41,10 +41,6 @@ def test_table_text(capsys):
     assert "-e0" in out
 
 
-def test_table_too_large(capsys):
-    assert main(["table", "--level", "7"]) == 2
-
-
 def test_check_matches_expectation_both_ways(capsys):
     code, doc = run_json(capsys, "check", "--property", "alternative", "--level", "3", "--samples", "50")
     assert code == 0 and doc["verdict"] == "holds" and doc["match"] is True
@@ -87,10 +83,6 @@ def test_chart_roundtrip(capsys):
         assert doc["verdict"] == "pass"
         assert doc["max_error"] < 1e-9
         assert doc["seed"] == 3
-
-
-def test_chart_roundtrip_bad_dimension(capsys):
-    assert main(["chart-roundtrip", "--level", "3"]) == 2
 
 
 def test_equiv_check(capsys):
@@ -271,19 +263,43 @@ def test_hopf_modes_fill_in_their_defaults(capsys, argv, key, value):
     assert code == 0 and doc[key] == value
 
 
+#: The commands that read --seed, each with its required arguments.
+SEEDED = (
+    ["check", "--property", "flexible"],
+    ["chart-roundtrip"],
+    ["equiv-check"],
+    ["hopf"],
+    ["hopf", "--mode", "linking"],
+    ["audit-all"],
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        ["table", "--level", "7"],
+        ["table", "--level", "-1"],
         ["check", "--property", "commutative", "--level", "9"],
+        ["check", "--property", "two-generated", "--level", "5"],
+        ["zero-divisors", "--level", "7"],
+        ["chart-roundtrip", "--level", "3"],
+        ["equiv-check", "--level", "16"],
         ["cohomology", "--space", "RP2", "--coeffs", "Zmod:1"],
-        ["hopf", "--mode", "bidegree", "--level", "5"],
         ["cohomology", "--space", "RP2", "--coeffs", "Zmod:x"],
         ["cohomology", "--space", "RP2", "--coeffs", "Zmod:"],
-    ],
+        ["hopf", "--mode", "bidegree", "--level", "5"],
+        ["hopf", "--mode", "linking", "--segments", "10"],
+    ]
+    + [argv + ["--seed", "-1"] for argv in SEEDED],
+    ids=" ".join,
 )
 def test_rejected_input_exits_2(capsys, argv):
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # the library's ArgumentError and the parser's own rejections end alike
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage:")
 
 
 def test_mathematical_failure_exits_1(capsys, monkeypatch):
@@ -296,11 +312,18 @@ def test_mathematical_failure_exits_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "error", [projective.MembershipError, projective.OutsideChartError, LevelMismatchError]
+    "error",
+    [
+        projective.MembershipError,
+        projective.OutsideChartError,
+        LevelMismatchError,
+        ValueError,
+        RuntimeError,
+    ],
 )
 def test_failures_inside_a_handler_exit_1(capsys, monkeypatch, error):
-    # these are ValueErrors, but no input raises them mid-run: the handler
-    # checked the dimension before it built a point
+    # only an ArgumentError is the caller's fault: any other ValueError or
+    # RuntimeError raised during the run is a failure, whatever its class
     def fail(f, u, v):
         raise error("raised mid-run")
 
@@ -347,6 +370,21 @@ def test_verdict_mismatches_exit_1(capsys, monkeypatch):
     assert code == 1 and doc["match"] is False
     code, doc = run_json(capsys, "audit-all", "--samples", "5")
     assert code == 1 and doc["all_match"] is False
+    # and so does commutative octonion multiplication
+    def commuting(level, samples, seed):
+        return properties.PropertyReport("commutative", level, "holds", None, samples)
+
+    monkeypatch.setitem(cli._CHECKERS, "commutative", commuting)
+    code, doc = run_json(capsys, "check", "--property", "commutative", "--level", "3")
+    assert code == 1 and doc["match"] is False
+
+
+def test_zero_divisors_text_lists_ten_pairs_then_counts(capsys, monkeypatch):
+    pair = (CDNumber.basis(4, 1), CDNumber.basis(4, 2))
+    monkeypatch.setattr(properties, "find_zero_divisors", lambda level: [pair] * 11)
+    code, out = run(capsys, "zero-divisors", "--level", "4")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 12 and lines[-1] == "  ... 1 more"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octoplane import topology
-from octoplane.algebra import CDNumber
+from octoplane.algebra import ArgumentError, CDNumber
 from octoplane.projective import random_unit, sphere_to_line
 from octoplane.topology import (
     INTEGERS,
@@ -216,7 +216,7 @@ def test_cw_validates_boundary_shapes():
 
 def test_cw_validates_dd_zero():
     # two 1-cells a,b and one 2-cell with boundary a+b, d1 nonzero composite
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match="boundary composite at dimension 2 is nonzero"):
         CWDescription(
             [("v", 0), ("w", 0), ("a", 1), ("f", 2)],
             {1: [[1], [-1]], 2: [[1]]},
@@ -225,7 +225,7 @@ def test_cw_validates_dd_zero():
 
 def test_cw_rejects_a_composite_made_of_plus_ones():
     # d1 d2 = [[1]] with every factor entry +1
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match="boundary composite at dimension 2 is nonzero"):
         CWDescription([("v", 0), ("a", 1), ("f", 2)], {1: [[1]], 2: [[1]]})
 
 
@@ -250,7 +250,7 @@ def test_builtin_names():
 
 def test_homology_op2():
     op2 = builtin_cw("OP2")
-    for k in range(-1, 18):
+    for k in range(18):  # a negative degree is refused (tests/test_arguments.py)
         expected = AbelianGroup(1) if k in (0, 8, 16) else AbelianGroup(0)
         assert homology(op2, k) == expected
 
@@ -258,6 +258,12 @@ def test_homology_op2():
 def test_homology_rp2():
     rp2 = builtin_cw("RP2")
     assert [str(homology(rp2, k)) for k in range(3)] == ["Z", "Z/2", "0"]
+
+
+def test_homology_leaves_out_unit_invariant_factors():
+    # an interval: the boundary [[-1], [1]] has the one invariant factor 1
+    interval = CWDescription([("a", 0), ("b", 0), ("e", 1)], {1: [[-1], [1]]})
+    assert [homology(interval, k) for k in range(2)] == [AbelianGroup(1), AbelianGroup(0)]
 
 
 def test_homology_sphere():
@@ -550,6 +556,22 @@ def test_linking_hopf_invariant_seed_stable():
     assert linking_hopf_invariant(5, 128, seed=0) == linking_hopf_invariant(
         5, 128, seed=99
     )
+
+
+def test_linking_draws_again_after_a_zero_regular_value(monkeypatch):
+    # a draw too short to normalise is skipped, not divided by its norm
+    default_rng = np.random.default_rng
+
+    class FirstDrawZero:
+        def __init__(self, seed):
+            self.rng, self.calls = default_rng(seed), 0
+
+        def normal(self, size):
+            self.calls += 1
+            return np.zeros(size) if self.calls == 1 else self.rng.normal(size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", FirstDrawZero)
+    assert linking_hopf_invariant(samples=1, segments=64, seed=0) == 1
 
 
 def test_linking_rejects_small_segment_count():
