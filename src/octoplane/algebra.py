@@ -391,11 +391,7 @@ class CDNumber(_FrozenSlots):
             return _cd(self.level, tuple(a * other for a in self.coords))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = _coordinate(other)
-            return _cd(self.level, tuple(other * a for a in self.coords))
-        return NotImplemented
+    __rmul__ = __mul__  # scaling commutes bit for bit; a CDNumber left factor takes __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, Fraction)):

@@ -29,8 +29,8 @@ dim**arity, even when its violation comes early; the pinned ``audit-all``
 output relies on it.
 
 The two-generated check is no identity on a fixed number of elements,
-so it walks its candidate pairs one at a time: the first 512 two-term
-pairs at level 4, then seeded random pairs.  Each pair is closed exactly
+so it walks its candidate pairs one at a time: the two-term pairs at
+level 4, then seeded random pairs.  Each pair is closed exactly
 under ``_Batch`` products, into the integer rows of a basis of the
 subalgebra it generates, and the same chunk loop tests the associator on
 every triple of those rows.  It shares the sweep's random stream.
@@ -404,15 +404,16 @@ def check_two_generated_associativity(level: int, samples: int, seed: int = 0) -
     associator is trilinear, so the subalgebra is associative iff every
     triple of basis elements associates.  True through the octonions, by
     Artin's theorem; false for sedenions.  There is no basis phase; at
-    level 4 the first 512 ordered two-term pairs come before the random
-    pairs, and the first violations sit early among them.  The
-    counterexample is the first non-associating triple of basis elements.
+    level 4 the ordered two-term pairs come before the random pairs, and
+    the 77th of them fails, for every seed.  The counterexample is the
+    first non-associating triple of basis elements.
     """
     level = _int_arg("level", level, 0, 4)
     samples = _int_arg("samples", samples, 1)
     phases = [(samples, _random_tuples(level, seed, 2))]
     if level >= 4:
-        phases.insert(0, (512, _ordered_tuples(level, _two_term_rows(level), 2)))
+        rows = _two_term_rows(level)
+        phases.insert(0, (len(rows) ** 2, _ordered_tuples(level, rows, 2)))
     name, tested = "two_generated_associative", 0
     for total, candidates in phases:
         for n in range(total):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from octoplane.algebra import (
@@ -165,6 +165,41 @@ def test_product_rounds_as_the_ordered_oracle(level, seed, x_family, y_family):
 @given(**_ROUNDING_CASES)
 def test_product_rounds_as_the_ordered_oracle_at_levels_4_to_6(level, seed, x_family, y_family):
     _check_product_rounding(level, seed, x_family, y_family)
+
+
+_SCALING_CASES = dict(
+    level=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    x_family=st.sampled_from(sorted(COORDINATE_FAMILIES)),
+    s_family=st.sampled_from(sorted(COORDINATE_FAMILIES)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**_SCALING_CASES)
+def test_scaling_commutes_bit_for_bit(level, seed, x_family, s_family):
+    # __rmul__ is __mul__, so s * x must give what x * s gives, coordinate by
+    # coordinate; False * x is refused (tests/test_arguments.py)
+    rng = random.Random(seed)
+    x = CDNumber(level, tuple(COORDINATE_FAMILIES[x_family](rng) for _ in range(1 << level)))
+    s = COORDINATE_FAMILIES[s_family](rng)
+    left, right = (s * x).coords, (x * s).coords
+    assert [(type(c), repr(c)) for c in left] == [(type(c), repr(c)) for c in right]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**_SCALING_CASES)
+def test_division_by_a_scalar_divides_each_coordinate(level, seed, x_family, s_family):
+    # exactly, through one Fraction reciprocal, when both sides are exact; else one
+    # rounding per coordinate, a / s, never a times a rounded 1 / s
+    rng = random.Random(seed)
+    coords = tuple(COORDINATE_FAMILIES[x_family](rng) for _ in range(1 << level))
+    s = COORDINATE_FAMILIES[s_family](rng)
+    assume(s != 0)
+    exact = all(type(c) in (int, Fraction) for c in coords + (s,))
+    expected = [Fraction(a) / s if exact else a / s for a in coords]
+    got = (CDNumber(level, coords) / s).coords
+    assert [(type(c), repr(c)) for c in got] == [(type(c), repr(c)) for c in expected]
 
 
 def test_products_above_the_table_cap():
@@ -374,6 +409,15 @@ def test_max_abs_keeps_a_nan_and_exact_sizes(coords, expected):
         assert size == expected and type(size) is type(expected)
 
 
+def test_batch_bound_is_the_largest_absolute_entry():
+    # a Python int, so that -(-2^63) does not wrap; an empty batch, such as
+    # the basis that x = y = 0 generate, has bound 0
+    assert _max_abs(np.array([[3, -7]], dtype=np.int64)) == 7
+    extreme = _max_abs(np.array([[-(2**63)]], dtype=np.int64))
+    assert extreme == 2**63 and type(extreme) is int
+    assert _max_abs(np.zeros((0, 4), dtype=np.int64)) == 0
+
+
 def test_x_times_conj_is_norm():
     rng = random.Random(5)
     for level in range(5):
@@ -421,8 +465,9 @@ def test_inverse_of_zero_raises():
 
 def test_inverse_warns_at_sedenion_level():
     x = e(4, 3) + e(4, 10)
-    with pytest.warns(ZeroDivisorWarning):
+    with pytest.warns(ZeroDivisorWarning) as record:
         inv = x.inverse()
+    assert record[0].filename == __file__  # the warning points at the caller
     # conj/norm formula still satisfies x * inv = 1; it just fails to
     # undo multiplication when x is a zero divisor
     assert x * inv == CDNumber.one(4)

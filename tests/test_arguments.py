@@ -239,6 +239,23 @@ def test_numpy_coordinates_are_stored_as_python_scalars():
     assert [type(c) for c in (x / np.float64(2.0)).coords] == [float, float]
 
 
+#: Calls that pass a name or text argument outside what the entry point
+#: takes, with the argument name its ArgumentError opens with.
+REFUSED_NAMED = {
+    "unknown space": (lambda: builtin_cw("OP4"), "space"),
+    "unhashable space": (lambda: builtin_cw(["RP2"]), "space"),
+    "coefficients None": (lambda: CoefficientSpec.parse(None), "coefficients"),
+    "coefficients int": (lambda: CoefficientSpec.parse(2), "coefficients"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_NAMED)
+def test_name_and_text_arguments_refuse_unknown_values(case):
+    call, name = REFUSED_NAMED[case]
+    with pytest.raises(ArgumentError, match=f"^{name} must be "):
+        call()
+
+
 def test_scaling_refuses_a_bool():
     x = CDNumber(1, (1, 2))
     for scale in (lambda: x * True, lambda: False * x, lambda: x / True):

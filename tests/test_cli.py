@@ -38,7 +38,11 @@ def test_table_json(capsys):
 def test_table_text(capsys):
     code, out = run(capsys, "table", "--level", "1")
     assert code == 0
-    assert "-e0" in out
+    assert out.splitlines() == [
+        "multiplication table, level 1 (dim 2)",
+        "e0 * :   +e0   +e1",
+        "e1 * :   +e1   -e0",
+    ]
 
 
 def test_check_matches_expectation_both_ways(capsys):
@@ -248,7 +252,8 @@ def test_other_hopf_mode_options_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     foreign = "--level" if "linking" in argv else "--segments"
-    assert captured.err.startswith("usage:") and f"does not read {foreign}" in captured.err
+    assert captured.err.startswith("usage: octoplane hopf ")
+    assert f"does not read {foreign}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -294,12 +299,13 @@ SEEDED = (
     ids=" ".join,
 )
 def test_rejected_input_exits_2(capsys, argv):
-    # the library's ArgumentError and the parser's own rejections end alike
+    # the library's ArgumentError (table --level 7 is build_table's) and the
+    # parser's own rejections end alike, with the given subcommand's usage line
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("usage:")
+    assert captured.out == "" and captured.err.startswith(f"usage: octoplane {argv[0]} ")
 
 
 def test_mathematical_failure_exits_1(capsys, monkeypatch):

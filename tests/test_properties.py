@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from octoplane import properties
 from octoplane.algebra import CDNumber, _Batch, _max_abs, basis_element, cd_to_json
 from octoplane.properties import (
     RANDOM_EXACT_SPAN,
@@ -278,7 +279,7 @@ def test_two_generated_fails_for_sedenions():
     assert (a * b) * c != a * (b * c)
 
 
-# Every level-4 run below fails on the 77th pair of the two-term prefix with
+# Every level-4 run below fails on the 77th pair of the two-term phase with
 # this triple of words: e0 + e1 and twice e2 + e12.
 _TWO_GENERATED_WITNESS = [
     {"level": 4, "coords": ["1", "1"] + ["0"] * 14},
@@ -309,6 +310,16 @@ def test_two_generated_reports_pinned(level):
         if level == 4:
             a, b, c = (w.coords for w in report.counterexample)
             assert ref_mul(ref_mul(a, b), c) != ref_mul(a, ref_mul(b, c))
+
+
+def test_two_generated_two_term_phase_is_every_ordered_pair(monkeypatch):
+    # with no triple failing, level 4 judges every ordered pair of the two-term
+    # rows (three of them here), then the random pairs
+    rows = _two_term_rows(4)[:3]
+    monkeypatch.setattr(properties, "_two_term_rows", lambda level: rows)
+    monkeypatch.setattr(properties, "_nonassociating", lambda x, y, z: np.zeros(len(x.rows), bool))
+    report = check_two_generated_associativity(4, 2)
+    assert report.holds and report.samples == 3**2 + 2
 
 
 def test_two_generated_agrees_with_alternative():

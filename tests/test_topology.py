@@ -141,6 +141,15 @@ def test_mat_mul_matches_oracle_on_unit_entries():
         assert topology.mat_mul(a, b) == int_mat_mul(a, b)
 
 
+def test_mat_mul_of_empty_factors():
+    # a factor with no rows or no columns gives a product of the shape its rows show
+    assert topology.mat_mul([[], []], []) == [[], []]
+    assert topology.mat_mul([], [[1, 2]]) == []
+    assert topology.mat_mul([[1], [2]], [[]]) == [[], []]
+    with pytest.raises(ArgumentError, match="shape mismatch"):
+        topology.mat_mul([[1]], [])
+
+
 def test_snf_rejects_non_integers():
     with pytest.raises(ValueError):
         smith_normal_form([[1.5]])
@@ -241,7 +250,7 @@ def test_builtin_names():
     assert builtin_cw("OP2").cell_count(16) == 1
     assert builtin_cw("OP1/S8").max_dim == 8
     assert builtin_cw("hypothetical-OP3").cell_count(24) == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(ArgumentError, match="space must be one of"):
         builtin_cw("OP4")
 
 
@@ -459,6 +468,13 @@ def test_bidegree_refuses_a_determinant_off_unit(monkeypatch):
         multiplication_bidegree(1, 1)
 
 
+def test_bidegree_refuses_a_determinant_of_minus_one(monkeypatch):
+    # |det| = 1, but det L_a = +1 is proven for every unit a, so a reflection is refused
+    monkeypatch.setattr(topology, "left_mult_matrix", lambda a: np.diag([-1.0, 1.0]))
+    with pytest.raises(InconsistencyError, match="off unit"):
+        multiplication_bidegree(1, 1)
+
+
 def test_bidegree_rejects_bad_arguments():
     with pytest.raises(ValueError):
         multiplication_bidegree(4, 10)
@@ -572,6 +588,14 @@ def test_linking_draws_again_after_a_zero_regular_value(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", FirstDrawZero)
     assert linking_hopf_invariant(samples=1, segments=64, seed=0) == 1
+
+
+@pytest.mark.parametrize("linked", [-1.0, 2.0])
+def test_linking_refuses_a_number_other_than_one(monkeypatch, linked):
+    # any two Hopf fibers link with number +1, so an integral near another integer is refused
+    monkeypatch.setattr(topology, "gauss_linking_number", lambda a, b: linked)
+    with pytest.raises(InconsistencyError, match=f"linking number {int(linked)} "):
+        linking_hopf_invariant(samples=1, segments=64)
 
 
 def test_linking_rejects_small_segment_count():
