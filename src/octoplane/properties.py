@@ -24,9 +24,19 @@ The sweep of the five identity checkers reads three streams, in order:
 The first violating candidate ends the sweep.  Verdicts are exact:
 a "fails" report always carries a counterexample that violates the
 identity with no tolerance.  ``samples`` in a report counts the
-candidates examined, with one convention: the basis phase counts whole,
-dim**arity, even when its violation comes early; the pinned ``audit-all``
-output relies on it.
+candidates judged, by a product or by the lemma below, with one
+convention: the basis phase counts whole, dim**arity, even when its
+violation comes early; the pinned ``audit-all`` output relies on it.
+
+The norm check multiplies only the two-term pairs that can fail it.
+Basis units multiply as e_a e_b = +/- e_(a ^ b): the tower is a twisted
+group algebra of (Z/2)^level.  So for u = e_i + s*e_j and
+v = e_k + t*e_l the product uv is four signed units on the axes i ^ k,
+i ^ l, j ^ k and j ^ l, and unless l = i ^ j ^ k they are distinct, so
+|uv|^2 = 4 = |u|^2 |v|^2.  Only the colliding pairs, those with
+l = i ^ j ^ k, about one in 2^level, can break the identity; they are
+the pairs the zero-divisor scan reads as well (``_colliding_pairs``).
+The others are judged by the lemma, and count in ``samples`` as judged.
 
 The two-generated check is no identity on a fixed number of elements,
 so it walks its candidate pairs one at a time: the two-term pairs at
@@ -78,7 +88,7 @@ class PropertyReport:
     level: int
     verdict: str  # "holds" | "fails"
     counterexample: Optional[tuple[CDNumber, ...]]
-    samples: int  # candidate tuples examined, exhaustive sweeps included
+    samples: int  # candidate tuples judged, by a product or by the colliding-pair lemma
 
     @property
     def holds(self) -> bool:
@@ -167,13 +177,17 @@ def _first_hit(
     return total, None
 
 
-def _ordered_tuples(level: int, rows: np.ndarray, arity: int) -> _Candidates:
+def _ordered_tuples(
+    level: int, rows: np.ndarray, arity: int, picks: Optional[np.ndarray] = None
+) -> _Candidates:
     """The stream of ordered ``arity``-tuples of ``rows``, first slot major,
-    as ``itertools.product(rows, repeat=arity)`` orders them."""
+    as ``itertools.product(rows, repeat=arity)`` orders them; with ``picks``,
+    only the tuples at those positions of that order, ascending."""
     bound = _max_abs(rows)
 
     def candidates(start: int, stop: int) -> list[_Batch]:
-        index, slots = np.arange(start, stop), []
+        index = np.arange(start, stop) if picks is None else picks[start:stop]
+        slots = []
         for _ in range(arity):
             index, slot = np.divmod(index, len(rows))
             slots.append(_Batch(level, rows[slot], bound))
@@ -194,6 +208,28 @@ def _two_term_rows(level: int) -> np.ndarray:
     rows[n, j.repeat(2)] = np.tile((1, -1), len(i))
     rows.flags.writeable = False  # shared between calls
     return rows
+
+
+@lru_cache(maxsize=None)
+def _colliding_pairs(level: int) -> np.ndarray:
+    """The ordered pairs of two-term rows whose product can put two units on
+    one axis, as positions u * n + v in the stream of every ordered pair of
+    ``_two_term_rows`` (n rows), ascending: n * 2^level of them.
+
+    u = e_i + s*e_j and v = e_k + t*e_l (i < j, k < l) collide when
+    k ^ l = i ^ j; for each u the dim / 2 pairs k < l with that xor come in
+    ascending k, each with t = +1 then -1, the order of the rows.
+    """
+    dim = 1 << level
+    i, j = np.triu_indices(dim, 1)
+    n = 2 * len(i)
+    # the pairs with each xor 1 .. dim - 1, dim // 2 of them each, k ascending
+    partners = np.argsort(i ^ j, kind="stable").reshape(dim - 1, dim // 2)
+    v = 2 * partners[(i ^ j) - 1, :, None] + np.arange(2)  # t = +1, then -1
+    v = v.reshape(len(i), dim).repeat(2, axis=0)  # s = +1, then -1
+    picks = (np.arange(n)[:, None] * n + v).ravel()
+    picks.flags.writeable = False  # shared between calls
+    return picks
 
 
 def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
@@ -226,6 +262,7 @@ def _sweep(
     arity: int,
     violates: Callable[..., np.ndarray],
     two_term: bool = False,
+    colliding: bool = False,
 ) -> PropertyReport:
     """Run ``violates`` over the basis, two-term and random phases in order.
 
@@ -234,18 +271,24 @@ def _sweep(
     the counterexample.  Every phase is a candidate stream judged by
     ``_first_hit``: the unit basis rows, the two-term rows when
     ``two_term`` is set and level >= 4, then ``samples`` random tuples.
+    With ``colliding`` the two-term phase reads only ``_colliding_pairs``,
+    for an identity that no other pair can break; the pairs it skips count
+    as judged, so the judged count is that of the whole stream.
     """
     level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
     samples = _int_arg("samples", samples, 1)
     dim = 1 << level
-    phases = [(dim**arity, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
+    phases = [(dim**arity, None, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
     if two_term and level >= 4:
         rows = _two_term_rows(level)
-        phases.append((len(rows) ** arity, _ordered_tuples(level, rows, arity)))
-    phases.append((samples, _random_tuples(level, seed, arity)))
+        picks = _colliding_pairs(level) if colliding else None
+        phases.append((len(rows) ** arity, picks, _ordered_tuples(level, rows, arity, picks)))
+    phases.append((samples, None, _random_tuples(level, seed, arity)))
     tested = 0
-    for phase, (total, candidates) in enumerate(phases):
-        judged, hit = _first_hit(total, candidates, violates)
+    for phase, (total, picks, candidates) in enumerate(phases):
+        judged, hit = _first_hit(total if picks is None else len(picks), candidates, violates)
+        if picks is not None:
+            judged = total if hit is None else int(picks[judged - 1]) + 1
         tested += total if phase == 0 else judged  # the basis phase counts whole
         if hit is not None:
             return PropertyReport(name, level, "fails", hit, tested)
@@ -281,9 +324,15 @@ def check_flexible(level: int, samples: int, seed: int = 0) -> PropertyReport:
 
 
 def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> PropertyReport:
-    """|xy|^2 = |x|^2 |y|^2 exactly; fails from the sedenions on."""
+    """|xy|^2 = |x|^2 |y|^2 exactly; fails from the sedenions on.
+
+    From level 4 up the check also sweeps the two-term pairs, of which only
+    the colliding ones (``_colliding_pairs``) can break the identity.
+    """
     violates = _norm_nonmultiplicative
-    return _sweep("norm_multiplicative", level, samples, seed, 2, violates, two_term=True)
+    return _sweep(
+        "norm_multiplicative", level, samples, seed, 2, violates, two_term=True, colliding=True
+    )
 
 
 def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
@@ -295,41 +344,32 @@ def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     are division algebras and return the empty list.
 
     The scan is sign arithmetic, with no coordinate products.  For
-    u = e_i + s*e_j and v = e_k + t*e_l (i < j, k < l), uv is the four
-    signed basis units e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, on the
-    axes i ^ k, i ^ l, j ^ k and j ^ l.  Since k != l and i != j, the unit
-    at i ^ k can only cancel against the one at j ^ l, which pins
-    l = i ^ j ^ k; then i ^ l = j ^ k holds too, so the other two units
-    share an axis as well.  So each (i, j) and k has one partner l, the
-    first cancellation fixes t, and the four-sign product alone decides
-    the second: it does not involve s, so a hit for s = +1 comes with a
-    hit for s = -1 at the opposite t.  Taking k in ascending order keeps
-    the scan's order.
+    u = e_i + s*e_j and v = e_k + t*e_l, uv is the four signed basis units
+    e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, on the axes i ^ k, i ^ l,
+    j ^ k and j ^ l; they can cancel only when two axes meet, that is at
+    the ``_colliding_pairs``, where l = i ^ j ^ k.  There e_i e_k cancels
+    st e_j e_l iff t = -s sign_ik sign_jl, and then t e_i e_l cancels
+    s e_j e_k iff the four signs multiply to 1.
     """
     level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
     if level <= 3:
         return []
-    dim = 1 << level
-    terms = [_cd(level, tuple(r)) for r in _two_term_rows(level).tolist()]
-    # e_k + t*e_l (k < l) is terms[2 * (offset[k] + l) + (t < 0)]
-    offset = [k * (2 * dim - k - 3) // 2 - 1 for k in range(dim)]
-    signs = _signs(level)
-    pairs = []
-    for i, j in itertools.combinations(range(dim), 2):
-        row_i, row_j = signs[i], signs[j]
-        hits = []  # (n, c): v = terms[n] at t = s*c, paired with u = e_i + s*e_j
-        for k in range(dim):
-            l = i ^ j ^ k
-            if l <= k:
-                continue
-            # e_i e_k + st e_j e_l = 0 gives t = -s sign_ik sign_jl; then
-            # t e_i e_l + s e_j e_k = 0 holds iff the four signs multiply to 1
-            if row_i[k] * row_j[l] * row_i[l] * row_j[k] == 1:
-                hits.append((2 * (offset[k] + l), -row_i[k] * row_j[l]))
-        u = 2 * (offset[i] + j)
-        for s in (1, -1):
-            pairs.extend((terms[u + (s < 0)], terms[n + (s * c < 0)]) for n, c in hits)
-    return pairs
+    rows, dim = _two_term_rows(level), 1 << level
+    # the colliding pairs at s = t = +1: rows u = 2p and v = 2q of the
+    # pairs p = (i, j) and q = (k, l), one row of dim / 2 per p
+    u, v = np.divmod(_colliding_pairs(level).reshape(len(rows), dim)[::2, ::2], len(rows))
+    first, second = np.triu_indices(dim, 1)
+    i, j, k, l = first[u // 2], second[u // 2], first[v // 2], second[v // 2]
+    signs = np.array(_signs(level), dtype=np.int8)
+    ik_jl = signs[i, k] * signs[j, l]
+    hit = ik_jl * signs[i, l] * signs[j, k] == 1
+    # s = +1, -1 along a new axis 1; t = -s ik_jl, at row v + 1 when t = -1
+    minus = np.array([[0], [1]])
+    u, v = u[:, None] + minus, v[:, None] + ((ik_jl == 1)[:, None] ^ minus)
+    hit = hit[:, None].repeat(2, axis=1)
+    terms = [_cd(level, tuple(r)) for r in rows.tolist()]
+    pick = terms.__getitem__
+    return list(zip(map(pick, u[hit].tolist()), map(pick, v[hit].tolist())))
 
 
 def check_division(level: int) -> PropertyReport:

@@ -339,7 +339,13 @@ class CWDescription:
     """
 
     def __init__(self, cells: Iterable[tuple[str, int]], boundaries: Mapping[int, object]):
-        self.cells = tuple((str(cid), _int_arg("cell dimension", dim, 0)) for cid, dim in cells)
+        try:
+            pairs = [(cid, dim) for cid, dim in cells]
+        except (TypeError, ValueError):  # not iterable, or an entry that is no pair
+            raise ArgumentError(f"cells must be (name, dimension) pairs, got {cells!r}") from None
+        if not isinstance(boundaries, Mapping):
+            raise ArgumentError(f"boundaries must be a mapping of degrees, got {boundaries!r}")
+        self.cells = tuple((str(cid), _int_arg("cell dimension", dim, 0)) for cid, dim in pairs)
         counts: dict[int, int] = {}
         for _, dim in self.cells:
             counts[dim] = counts.get(dim, 0) + 1
@@ -440,7 +446,14 @@ def cohomology(
     H^k(C; Z/m) = H^k(C; Z) (x) Z/m  (+)  Tor(H^(k+1)(C; Z), Z/m).
     """
     k = _int_arg("degree", k, 0)
+    coefficients = _coefficients_arg(coefficients)
     return _cohomology(cw, k, coefficients, _boundary_factors(cw, (k, k + 1)))
+
+
+def _coefficients_arg(coefficients: CoefficientSpec) -> CoefficientSpec:
+    if not isinstance(coefficients, CoefficientSpec):
+        raise ArgumentError(f"coefficients must be a CoefficientSpec, got {coefficients!r}")
+    return coefficients
 
 
 def _cohomology(cw: CWDescription, k: int, coefficients: CoefficientSpec, factors) -> AbelianGroup:
@@ -457,6 +470,7 @@ def cohomology_profile(
     cw: CWDescription, coefficients: CoefficientSpec = INTEGERS
 ) -> list[AbelianGroup]:
     """Cohomology in every degree 0..max_dim, factoring each boundary once."""
+    coefficients = _coefficients_arg(coefficients)
     factors = _boundary_factors(cw, range(cw.max_dim + 2))
     return [_cohomology(cw, k, coefficients, factors) for k in range(cw.max_dim + 1)]
 

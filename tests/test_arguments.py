@@ -34,6 +34,7 @@ from octoplane.topology import (
     CWDescription,
     builtin_cw,
     cohomology,
+    cohomology_profile,
     homology,
     linking_hopf_invariant,
     multiplication_bidegree,
@@ -246,6 +247,15 @@ REFUSED_NAMED = {
     "unhashable space": (lambda: builtin_cw(["RP2"]), "space"),
     "coefficients None": (lambda: CoefficientSpec.parse(None), "coefficients"),
     "coefficients int": (lambda: CoefficientSpec.parse(2), "coefficients"),
+    "cohomology coefficients None": (
+        lambda: cohomology(builtin_cw("RP2"), 1, None), "coefficients"
+    ),
+    "profile coefficients text": (
+        lambda: cohomology_profile(builtin_cw("RP2"), "Z"), "coefficients"
+    ),
+    "boundaries None": (lambda: CWDescription([("v", 0)], None), "boundaries"),
+    "cells None": (lambda: CWDescription(None, {}), "cells"),
+    "cell no pair": (lambda: CWDescription([("v",)], {}), "cells"),
 }
 
 

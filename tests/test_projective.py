@@ -733,8 +733,8 @@ def test_random_triple_point_anchor_coefficient_is_uniform_in_size(monkeypatch):
 
 @pytest.mark.parametrize(
     "entries, products",
-    [((1, 2), 1), ((1, 2, 4), 3)],
-    ids=["pair", "triple"],
+    [((1,), 0), ((1, 2), 1), ((1, 2, 4), 3)],
+    ids=["single", "pair", "triple"],
 )
 def test_random_unit_in_subalgebra_spans_every_pair_product(entries, products):
     # e1, e2 and e4 and their pair products e1e2, e1e4 and e2e4 lie on distinct

@@ -13,6 +13,7 @@ from octoplane import properties
 from octoplane.algebra import CDNumber, _Batch, _max_abs, basis_element, cd_to_json
 from octoplane.properties import (
     RANDOM_EXACT_SPAN,
+    _colliding_pairs,
     _extend_echelon,
     _first_hit,
     _nonalternative,
@@ -37,7 +38,7 @@ from octoplane.properties import (
     random_exact,
 )
 
-from oracles import ref_mul, ref_rank, ref_span_subset, ref_subalgebra_basis
+from oracles import _ref_sign_rows, ref_mul, ref_rank, ref_span_subset, ref_subalgebra_basis
 
 
 def e(level, index):
@@ -264,6 +265,66 @@ def test_zero_divisors_level6_sample():
         assert not any(ref_mul(u.coords, v.coords))
 
 
+# -- the colliding-pair lemma ----------------------------------------------------
+
+
+def _ref_two_term_axes(dim):
+    """(i, j, s) for each e_i + s*e_j, in the order of ``_ref_two_terms``."""
+    return [(i, j, s) for i, j in itertools.combinations(range(dim), 2) for s in (1, -1)]
+
+
+def _ref_product_norm(sign_rows, u, v):
+    """|uv|^2 for u = e_i + s*e_j and v = e_k + t*e_l, given as (i, j, s) and
+    (k, l, t), from the basis products of the doubling recursion."""
+    (i, j, s), (k, l, t) = u, v
+    out = {}
+    for a, x in ((i, 1), (j, s)):
+        for b, y in ((k, 1), (l, t)):
+            _, axis, sign = sign_rows[a][b]
+            out[axis] = out.get(axis, 0) + sign * x * y
+    return sum(c * c for c in out.values())
+
+
+@pytest.mark.parametrize("level, sample", [(4, None), (5, 50_000)])
+def test_only_colliding_two_term_pairs_break_the_norm(level, sample):
+    # every ordered pair at level 4, a seeded sample at level 5; only the
+    # oracle's products, so the lemma is checked apart from the package
+    dim = 1 << level
+    sign_rows, terms = _ref_sign_rows(dim), _ref_two_term_axes(dim)
+    if sample is None:
+        pairs = list(itertools.product(terms, repeat=2))
+    else:
+        rng = random.Random(level)
+        pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(sample)]
+    colliding = broken = 0
+    for u, v in pairs:
+        (i, j, _), (k, l, _) = u, v
+        colliding += l == i ^ j ^ k
+        if _ref_product_norm(sign_rows, u, v) != 4:  # |u|^2 |v|^2 = 2 * 2
+            assert l == i ^ j ^ k, (u, v)
+            broken += 1
+    assert broken > 0
+    if sample is None:
+        assert colliding == len(terms) * dim
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_colliding_pairs_are_the_pairs_whose_axes_meet(level):
+    terms = _ref_two_term_axes(1 << level)
+    n = len(terms)
+    expected = [
+        a * n + b
+        for a, (i, j, _) in enumerate(terms)
+        for b, (k, l, _) in enumerate(terms)
+        if k ^ l == i ^ j
+    ]
+    assert _colliding_pairs(level).tolist() == expected
+
+
+def test_colliding_pair_count_at_the_top_level():
+    assert len(_colliding_pairs(6)) == len(_two_term_rows(6)) << 6
+
+
 # -- two-generated subalgebras -------------------------------------------------
 
 
@@ -404,6 +465,11 @@ def test_subalgebra_basis_known_dimensions():
     assert _subalgebra_basis(2, unit_row(2, 1), np.zeros(4, np.int64)).tolist() == [
         [0, 1, 0, 0],
         [-1, 0, 0, 0],
+    ]
+    # 1 + e1 and its conjugate, kept as the start rows are, span them with no product
+    assert _subalgebra_basis(2, np.array((1, 1, 0, 0)), np.zeros(4, np.int64)).tolist() == [
+        [1, 1, 0, 0],
+        [1, -1, 0, 0],
     ]
 
 
@@ -624,6 +690,24 @@ def test_two_term_phase_reports_are_pinned(checker, level, samples, witness):
     }
     _, violates = REF_VIOLATIONS[checker]
     assert violates(*coords)
+
+
+@pytest.mark.parametrize("k", [1, 64, 65, 1000])
+def test_norm_two_term_phase_counts_the_pairs_before_its_hit(monkeypatch, k):
+    # the k-th colliding pair hits: every pair of the whole stream up to it counts
+    rows, picks = _two_term_rows(4), _colliding_pairs(4)
+    monkeypatch.setattr(properties, "_norm_nonmultiplicative", _fires_at(256 + k, 1))
+    report = check_norm_multiplicative(4, 5)
+    assert report.samples == 256 + int(picks[k - 1]) + 1
+    u, v = divmod(int(picks[k - 1]), len(rows))
+    assert [x.coords for x in report.counterexample] == [tuple(rows[u]), tuple(rows[v])]
+
+
+def test_norm_two_term_phase_without_a_hit_counts_the_whole_stream(monkeypatch):
+    never = lambda x, y: np.zeros(len(x.rows), dtype=bool)  # noqa: E731
+    monkeypatch.setattr(properties, "_norm_nonmultiplicative", never)
+    report = check_norm_multiplicative(4, 5)
+    assert report.holds and report.samples == 256 + len(_two_term_rows(4)) ** 2 + 5
 
 
 # -- the chunk loop ----------------------------------------------------------------

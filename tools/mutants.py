@@ -11,7 +11,9 @@ Each mutant runs in a temporary copy of the tree against
 ``tests/test_<module>.py`` with ``-x``.  A mutant those tests miss is run
 against the whole suite.  A mutant the whole suite misses is a survivor,
 unless ``tools/equivalent_mutants.json`` lists it as equivalent (it
-cannot change behaviour), with the reason.
+cannot change behaviour), with the reason.  An entry names one site: its
+line text, its change, and its ordinal among the module's sites with that
+line text and change, counting from 0 in source order.
 
     python tools/mutants.py --module projective --count 30 --seed 0
 
@@ -31,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,12 +62,14 @@ SYMBOLS = {
 
 
 class Site(NamedTuple):
-    """One mutation: where it is (source line and its text) and what it does."""
+    """One mutation: where it is (source line and its text) and what it does;
+    ``ordinal`` tells it from the earlier sites with the same text and change."""
 
     index: int
     lineno: int
     line: str
     change: str
+    ordinal: int
 
 
 def _current(node, field, k):
@@ -111,11 +116,12 @@ def _describe(node, field, k) -> str:
 
 
 def sites(source: str) -> list[Site]:
-    lines = source.splitlines()
-    return [
-        Site(i, node.lineno, lines[node.lineno - 1].strip(), _describe(node, field, k))
-        for i, (node, field, k) in enumerate(_slots(ast.parse(source)))
-    ]
+    lines, seen, out = source.splitlines(), Counter(), []
+    for i, (node, field, k) in enumerate(_slots(ast.parse(source))):
+        key = lines[node.lineno - 1].strip(), _describe(node, field, k)
+        out.append(Site(i, node.lineno, *key, seen[key]))
+        seen[key] += 1
+    return out
 
 
 def mutate(source: str, index) -> str:
@@ -146,9 +152,10 @@ def _pytest(tree: Path, targets: list[str], timeout: float) -> tuple[bool, float
     return proc.returncode == 0, time.perf_counter() - start
 
 
-def _known_equivalents(module: str) -> dict[tuple[str, str], str]:
+def _known_equivalents(module: str) -> dict[tuple[str, str, int], str]:
     entries = json.loads(EQUIVALENTS.read_text()) if EQUIVALENTS.exists() else []
-    return {(e["line"], e["change"]): e["reason"] for e in entries if e["module"] == module}
+    keys = ("line", "change", "ordinal")
+    return {tuple(e[k] for k in keys): e["reason"] for e in entries if e["module"] == module}
 
 
 def main(argv=None) -> int:
@@ -188,13 +195,13 @@ def main(argv=None) -> int:
         timeout = max(60.0, 5 * base)
         for site in chosen:
             target.write_text(mutate(source, site.index))
-            label = f"  #{site.index} L{site.lineno} `{site.line}`  {site.change}"
+            label = f"  #{site.index} L{site.lineno} `{site.line}`  {site.change} ({site.ordinal})"
             if not _pytest(tree, [test_file], timeout)[0]:
                 print(f"{label}: killed by {test_file}")
             elif not _pytest(tree, [], 10 * timeout)[0]:
                 print(f"{label}: killed by the suite")
-            elif (site.line, site.change) in equivalents:
-                print(f"{label}: equivalent ({equivalents[site.line, site.change]})")
+            elif (key := (site.line, site.change, site.ordinal)) in equivalents:
+                print(f"{label}: equivalent ({equivalents[key]})")
             else:
                 unexplained += 1
                 print(f"{label}: SURVIVED")
