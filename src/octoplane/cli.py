@@ -317,7 +317,7 @@ COMMANDS: dict[str, Command] = {
             SAMPLES,
             SEED,
             ("--mode", dict(choices=("bidegree", "linking"), default="bidegree")),
-            ("--segments", dict(type=int, help="polygon segments for linking mode")),
+            ("--segments", dict(type=int, help="polygon segments for linking mode, 64 to 1024")),
         ),
     ),
     "audit-all": Command(_cmd_audit_all, "full expectation matrix, levels 0-4", (SAMPLES, SEED)),

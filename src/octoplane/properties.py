@@ -28,15 +28,18 @@ candidates judged, by a product or by the lemma below, with one
 convention: the basis phase counts whole, dim**arity, even when its
 violation comes early; the pinned ``audit-all`` output relies on it.
 
-The norm check multiplies only the two-term pairs that can fail it.
-Basis units multiply as e_a e_b = +/- e_(a ^ b): the tower is a twisted
-group algebra of (Z/2)^level.  So for u = e_i + s*e_j and
-v = e_k + t*e_l the product uv is four signed units on the axes i ^ k,
-i ^ l, j ^ k and j ^ l, and unless l = i ^ j ^ k they are distinct, so
-|uv|^2 = 4 = |u|^2 |v|^2.  Only the colliding pairs, those with
-l = i ^ j ^ k, about one in 2^level, can break the identity; they are
-the pairs the zero-divisor scan reads as well (``_colliding_pairs``).
-The others are judged by the lemma, and count in ``samples`` as judged.
+The two-term lemma.  Basis units multiply as e_a e_b = s_ab e_(a ^ b),
+a twisted group algebra of (Z/2)^level.  So for u = e_i + s*e_j and
+v = e_k + t*e_l, uv is four signed units on the axes i ^ k, i ^ l, j ^ k
+and j ^ l; unless l = i ^ j ^ k they are distinct, and |uv|^2 = 4, which
+is |u|^2 |v|^2.  If they collide, uv is
+(s_ik + st s_jl) e_(i ^ k) + (t s_il + s s_jk) e_(i ^ l).  With
+alpha = s_ik s_jl and beta = s_il s_jk, if alpha != beta exactly one
+coefficient vanishes and |uv|^2 = 4 for every s and t; if alpha = beta,
+|uv|^2 is 0 at t = -s alpha, a zero divisor, and 8 otherwise.  No such
+pair exists at levels <= 3.  The norm check multiplies only the s = t = +1
+pair of each (``_collisions``), the others judged by the lemma; the
+zero-divisor scan reads the same table, with no products.
 
 The two-generated check is no identity on a fixed number of elements,
 so it walks its candidate pairs one at a time: the two-term pairs at
@@ -57,10 +60,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .algebra import CDNumber, _Batch, _cd, _int_arg, _max_abs, _signs, cd_to_json
+from .algebra import TABLE_LEVEL_CAP, CDNumber, _Batch, _cd, _int_arg, _max_abs, _signs, cd_to_json
 from .algebra import associator  # noqa: F401  (kept as properties.associator)
 
-MAX_CHECK_LEVEL = 6
 #: ``random_exact`` draws integer coordinates from [-RANDOM_EXACT_SPAN, RANDOM_EXACT_SPAN].
 RANDOM_EXACT_SPAN = 9
 
@@ -88,7 +90,7 @@ class PropertyReport:
     level: int
     verdict: str  # "holds" | "fails"
     counterexample: Optional[tuple[CDNumber, ...]]
-    samples: int  # candidate tuples judged, by a product or by the colliding-pair lemma
+    samples: int  # candidate tuples judged, by a product or by the two-term lemma
 
     @property
     def holds(self) -> bool:
@@ -211,25 +213,24 @@ def _two_term_rows(level: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _colliding_pairs(level: int) -> np.ndarray:
-    """The ordered pairs of two-term rows whose product can put two units on
-    one axis, as positions u * n + v in the stream of every ordered pair of
-    ``_two_term_rows`` (n rows), ascending: n * 2^level of them.
-
-    u = e_i + s*e_j and v = e_k + t*e_l (i < j, k < l) collide when
-    k ^ l = i ^ j; for each u the dim / 2 pairs k < l with that xor come in
-    ascending k, each with t = +1 then -1, the order of the rows.
+def _collisions(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of the two-term lemma (module docstring), one row per pair
+    p = (i, j), i < j, in the order of ``_two_term_rows``: the dim / 2
+    partners q = (k, l), k < l, with k ^ l = i ^ j, so l = i ^ j ^ k, in
+    ascending k; alpha = s_ik s_jl at each; and ``hit``, true where
+    alpha = beta = s_il s_jk, the colliding pairs that break the norm.
     """
     dim = 1 << level
     i, j = np.triu_indices(dim, 1)
-    n = 2 * len(i)
     # the pairs with each xor 1 .. dim - 1, dim // 2 of them each, k ascending
-    partners = np.argsort(i ^ j, kind="stable").reshape(dim - 1, dim // 2)
-    v = 2 * partners[(i ^ j) - 1, :, None] + np.arange(2)  # t = +1, then -1
-    v = v.reshape(len(i), dim).repeat(2, axis=0)  # s = +1, then -1
-    picks = (np.arange(n)[:, None] * n + v).ravel()
-    picks.flags.writeable = False  # shared between calls
-    return picks
+    partners = np.argsort(i ^ j, kind="stable").reshape(dim - 1, dim // 2)[(i ^ j) - 1]
+    i, j, k, l = i[:, None], j[:, None], i[partners], j[partners]
+    signs = np.array(_signs(level), dtype=np.int8)
+    alpha = signs[i, k] * signs[j, l]
+    hit = alpha == signs[i, l] * signs[j, k]
+    for table in (partners, alpha, hit):
+        table.flags.writeable = False  # shared between calls
+    return partners, alpha, hit
 
 
 def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
@@ -271,17 +272,22 @@ def _sweep(
     the counterexample.  Every phase is a candidate stream judged by
     ``_first_hit``: the unit basis rows, the two-term rows when
     ``two_term`` is set and level >= 4, then ``samples`` random tuples.
-    With ``colliding`` the two-term phase reads only ``_colliding_pairs``,
-    for an identity that no other pair can break; the pairs it skips count
-    as judged, so the judged count is that of the whole stream.
+    With ``colliding`` the two-term phase reads only the s = t = +1 pair
+    of each ``_collisions`` hit, for the norm identity: by the two-term
+    lemma no other pair breaks it, and the first pair that does is the
+    first hit's s = t = +1.  The pairs it skips count as judged, so the
+    judged count is that of the whole stream.
     """
-    level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
+    level = _int_arg("level", level, 0, TABLE_LEVEL_CAP)
     samples = _int_arg("samples", samples, 1)
     dim = 1 << level
     phases = [(dim**arity, None, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
     if two_term and level >= 4:
         rows = _two_term_rows(level)
-        picks = _colliding_pairs(level) if colliding else None
+        picks = None
+        if colliding:  # rows 2p and 2q of each hit: s = t = +1
+            partners, _, hit = _collisions(level)
+            picks = 2 * len(rows) * hit.nonzero()[0] + 2 * partners[hit]
         phases.append((len(rows) ** arity, picks, _ordered_tuples(level, rows, arity, picks)))
     phases.append((samples, None, _random_tuples(level, seed, arity)))
     tested = 0
@@ -326,8 +332,8 @@ def check_flexible(level: int, samples: int, seed: int = 0) -> PropertyReport:
 def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """|xy|^2 = |x|^2 |y|^2 exactly; fails from the sedenions on.
 
-    From level 4 up the check also sweeps the two-term pairs, of which only
-    the colliding ones (``_colliding_pairs``) can break the identity.
+    From level 4 up the check also sweeps the two-term pairs, judged by the
+    two-term lemma: it multiplies one pair of each ``_collisions`` hit.
     """
     violates = _norm_nonmultiplicative
     return _sweep(
@@ -335,41 +341,29 @@ def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> Proper
     )
 
 
+def _zero_divisor_rows(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u, v of ``_two_term_rows`` of every pair with uv = 0, u major: by
+    the two-term lemma, each ``_collisions`` hit at s = +1 and -1 (rows 2p
+    and 2p + 1) with t = -s alpha (row 2q + 1 when t = -1)."""
+    partners, alpha, hit = _collisions(level)
+    p, s, c = np.broadcast_to(hit[:, None], (len(hit), 2, hit.shape[1])).nonzero()
+    return 2 * p + s, 2 * partners[p, c] + (s ^ (alpha[p, c] == 1))
+
+
 def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:
     """Nonzero pairs (u, v) with uv = 0, over all two-term signed basis sums.
 
     Exhaustive and sound over that pattern: every pair of two-term elements
     with zero product is returned, and no other, in the order of the
-    ordered pairs of ``_two_term_rows``, first element major.  Levels <= 3
-    are division algebras and return the empty list.
-
-    The scan is sign arithmetic, with no coordinate products.  For
-    u = e_i + s*e_j and v = e_k + t*e_l, uv is the four signed basis units
-    e_i e_k, t e_i e_l, s e_j e_k and st e_j e_l, on the axes i ^ k, i ^ l,
-    j ^ k and j ^ l; they can cancel only when two axes meet, that is at
-    the ``_colliding_pairs``, where l = i ^ j ^ k.  There e_i e_k cancels
-    st e_j e_l iff t = -s sign_ik sign_jl, and then t e_i e_l cancels
-    s e_j e_k iff the four signs multiply to 1.
+    ordered pairs of ``_two_term_rows``, first element major.  The scan is
+    the sign arithmetic of the two-term lemma, with no coordinate products;
+    levels <= 3 are division algebras, and it finds none there.
     """
-    level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
-    if level <= 3:
-        return []
-    rows, dim = _two_term_rows(level), 1 << level
-    # the colliding pairs at s = t = +1: rows u = 2p and v = 2q of the
-    # pairs p = (i, j) and q = (k, l), one row of dim / 2 per p
-    u, v = np.divmod(_colliding_pairs(level).reshape(len(rows), dim)[::2, ::2], len(rows))
-    first, second = np.triu_indices(dim, 1)
-    i, j, k, l = first[u // 2], second[u // 2], first[v // 2], second[v // 2]
-    signs = np.array(_signs(level), dtype=np.int8)
-    ik_jl = signs[i, k] * signs[j, l]
-    hit = ik_jl * signs[i, l] * signs[j, k] == 1
-    # s = +1, -1 along a new axis 1; t = -s ik_jl, at row v + 1 when t = -1
-    minus = np.array([[0], [1]])
-    u, v = u[:, None] + minus, v[:, None] + ((ik_jl == 1)[:, None] ^ minus)
-    hit = hit[:, None].repeat(2, axis=1)
-    terms = [_cd(level, tuple(r)) for r in rows.tolist()]
+    level = _int_arg("level", level, 0, TABLE_LEVEL_CAP)
+    u, v = _zero_divisor_rows(level)
+    terms = [_cd(level, tuple(r)) for r in _two_term_rows(level).tolist()]
     pick = terms.__getitem__
-    return list(zip(map(pick, u[hit].tolist()), map(pick, v[hit].tolist())))
+    return list(zip(map(pick, u.tolist()), map(pick, v.tolist())))
 
 
 def check_division(level: int) -> PropertyReport:
@@ -377,14 +371,14 @@ def check_division(level: int) -> PropertyReport:
 
     The counterexample is the first pair ``find_zero_divisors`` returns.
     ``samples`` counts the whole pattern, (2 * C(dim, 2))^2 pairs, since
-    the scan is exhaustive; it is 0 below level 4, where no scan runs.
+    the scan is exhaustive; it is 0 below level 4, where it finds none.
     """
-    level = _int_arg("level", level, 0, MAX_CHECK_LEVEL)
-    pairs = find_zero_divisors(level)
-    dim = 1 << level
+    level = _int_arg("level", level, 0, TABLE_LEVEL_CAP)
+    rows, (u, v), dim = _two_term_rows(level), _zero_divisor_rows(level), 1 << level
     scanned = (dim * (dim - 1)) ** 2 if level >= 4 else 0
-    if pairs:
-        return PropertyReport("division", level, "fails", pairs[0], scanned)
+    if len(u):  # only the first pair is built
+        pair = tuple(_cd(level, tuple(rows[w].tolist())) for w in (u[0], v[0]))
+        return PropertyReport("division", level, "fails", pair, scanned)
     return PropertyReport("division", level, "holds", None, scanned)
 
 

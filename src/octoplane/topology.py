@@ -562,7 +562,7 @@ def linking_hopf_invariant(
     returned.  This is the numerical oracle for the complex case,
     independent of the bidegree proxy.
     """
-    segments = _int_arg("segments", segments, 64)
+    segments = _int_arg("segments", segments, 64, 1024)  # the Gauss sum builds N x N x 3 arrays
     samples = _int_arg("samples", samples, 1)
     rng = np.random.default_rng(_int_arg("seed", seed, 0))
     for _ in range(samples):

@@ -158,7 +158,7 @@ ENTRIES = {
         "samples", lambda v: linking_hopf_invariant(samples=v, segments=64), 1, 0
     ),
     "linking_hopf_invariant segments": Entry(
-        "segments", lambda v: linking_hopf_invariant(samples=1, segments=v), 64, 63
+        "segments", lambda v: linking_hopf_invariant(samples=1, segments=v), 64, 63, 1025
     ),
 }
 

@@ -370,8 +370,10 @@ def test_sampled_checks_fail_at_the_tolerance(capsys, monkeypatch):
 
 
 def test_verdict_mismatches_exit_1(capsys, monkeypatch):
-    # a scan that finds no sedenion zero divisor contradicts the tower
-    monkeypatch.setattr(properties, "find_zero_divisors", lambda level: [])
+    # a scan that finds no sedenion zero divisor contradicts the tower; both
+    # zero-divisors and audit-all's division check read the one scan
+    scan = properties._zero_divisor_rows
+    monkeypatch.setattr(properties, "_zero_divisor_rows", lambda level: scan(0))
     code, doc = run_json(capsys, "zero-divisors", "--level", "4")
     assert code == 1 and doc["match"] is False
     code, doc = run_json(capsys, "audit-all", "--samples", "5")

@@ -13,7 +13,7 @@ from octoplane import properties
 from octoplane.algebra import CDNumber, _Batch, _max_abs, basis_element, cd_to_json
 from octoplane.properties import (
     RANDOM_EXACT_SPAN,
-    _colliding_pairs,
+    _collisions,
     _extend_echelon,
     _first_hit,
     _nonalternative,
@@ -156,6 +156,7 @@ def test_division_report():
     assert r.verdict == "fails" and r.matches_expectation()
     assert r.samples == 57600
     assert r.counterexample == find_zero_divisors(4)[0]
+    assert check_division(5).counterexample == find_zero_divisors(5)[0]
 
 
 def test_zero_divisors_empty_through_octonions():
@@ -265,12 +266,17 @@ def test_zero_divisors_level6_sample():
         assert not any(ref_mul(u.coords, v.coords))
 
 
-# -- the colliding-pair lemma ----------------------------------------------------
+# -- the two-term lemma ----------------------------------------------------------
 
 
 def _ref_two_term_axes(dim):
     """(i, j, s) for each e_i + s*e_j, in the order of ``_ref_two_terms``."""
     return [(i, j, s) for i, j in itertools.combinations(range(dim), 2) for s in (1, -1)]
+
+
+def _ref_sign(dim, a, b):
+    """s_ab, with e_a e_b = s_ab e_(a ^ b), read from the doubling recursion."""
+    return _ref_sign_rows(dim)[a][b][2]
 
 
 def _ref_product_norm(sign_rows, u, v):
@@ -287,8 +293,9 @@ def _ref_product_norm(sign_rows, u, v):
 
 @pytest.mark.parametrize("level, sample", [(4, None), (5, 50_000)])
 def test_only_colliding_two_term_pairs_break_the_norm(level, sample):
-    # every ordered pair at level 4, a seeded sample at level 5; only the
-    # oracle's products, so the lemma is checked apart from the package
+    # the two-term lemma, sharpened, from the oracle's products alone: every
+    # ordered pair at level 4, a seeded sample at level 5.  |uv|^2 != 4 iff
+    # l = i ^ j ^ k and s_ik s_jl = s_il s_jk, and uv = 0 there iff t = -s s_ik s_jl
     dim = 1 << level
     sign_rows, terms = _ref_sign_rows(dim), _ref_two_term_axes(dim)
     if sample is None:
@@ -296,33 +303,47 @@ def test_only_colliding_two_term_pairs_break_the_norm(level, sample):
     else:
         rng = random.Random(level)
         pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(sample)]
-    colliding = broken = 0
+    broken = zero = 0
     for u, v in pairs:
-        (i, j, _), (k, l, _) = u, v
-        colliding += l == i ^ j ^ k
-        if _ref_product_norm(sign_rows, u, v) != 4:  # |u|^2 |v|^2 = 2 * 2
-            assert l == i ^ j ^ k, (u, v)
-            broken += 1
-    assert broken > 0
+        (i, j, s), (k, l, t) = u, v
+        alpha = _ref_sign(dim, i, k) * _ref_sign(dim, j, l)
+        breaks = l == i ^ j ^ k and alpha == _ref_sign(dim, i, l) * _ref_sign(dim, j, k)
+        norm = _ref_product_norm(sign_rows, u, v)  # |u|^2 |v|^2 = 2 * 2
+        assert (norm != 4) == breaks, (u, v)
+        assert (norm == 0) == (breaks and t == -s * alpha), (u, v)
+        broken, zero = broken + breaks, zero + (norm == 0)
+    assert broken > zero > 0
     if sample is None:
-        assert colliding == len(terms) * dim
+        assert (broken, zero) == (672, 336)
 
 
 @pytest.mark.parametrize("level", [4, 5])
 def test_colliding_pairs_are_the_pairs_whose_axes_meet(level):
-    terms = _ref_two_term_axes(1 << level)
-    n = len(terms)
-    expected = [
-        a * n + b
-        for a, (i, j, _) in enumerate(terms)
-        for b, (k, l, _) in enumerate(terms)
-        if k ^ l == i ^ j
-    ]
-    assert _colliding_pairs(level).tolist() == expected
+    dim = 1 << level
+    axes = list(itertools.combinations(range(dim), 2))
+    partners, alpha, hit = _collisions(level)
+    for p, (i, j) in enumerate(axes):
+        expected = [q for q, (k, l) in enumerate(axes) if k ^ l == i ^ j]
+        assert partners[p].tolist() == expected
+        for c, (k, l) in enumerate(axes[q] for q in expected):
+            assert alpha[p, c] == _ref_sign(dim, i, k) * _ref_sign(dim, j, l)
+            assert hit[p, c] == (alpha[p, c] == _ref_sign(dim, i, l) * _ref_sign(dim, j, k))
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_no_two_term_pair_breaks_the_norm_through_the_octonions(level):
+    partners, alpha, hit = _collisions(level)
+    dim = 1 << level
+    assert partners.shape == alpha.shape == hit.shape == (dim * (dim - 1) // 2, dim // 2)
+    assert not hit.any()
 
 
 def test_colliding_pair_count_at_the_top_level():
-    assert len(_colliding_pairs(6)) == len(_two_term_rows(6)) << 6
+    partners, alpha, hit = _collisions(6)
+    assert partners.shape == (len(_two_term_rows(6)) // 2, 32)
+    assert 2 * int(hit.sum()) == len(find_zero_divisors(6)) == 52080
+    assert partners.nbytes + alpha.nbytes + hit.nbytes < 2**20
+    assert not any(table.flags.writeable for table in (partners, alpha, hit))
 
 
 # -- two-generated subalgebras -------------------------------------------------
@@ -692,14 +713,17 @@ def test_two_term_phase_reports_are_pinned(checker, level, samples, witness):
     assert violates(*coords)
 
 
-@pytest.mark.parametrize("k", [1, 64, 65, 1000])
+@pytest.mark.parametrize("k", [1, 64, 65, 168])
 def test_norm_two_term_phase_counts_the_pairs_before_its_hit(monkeypatch, k):
-    # the k-th colliding pair hits: every pair of the whole stream up to it counts
-    rows, picks = _two_term_rows(4), _colliding_pairs(4)
+    # the s = t = +1 pair of the k-th of the 168 hits fires: every pair of
+    # the whole stream up to it counts
+    rows, (partners, _, hit) = _two_term_rows(4), _collisions(4)
+    p, c = (int(x[k - 1]) for x in hit.nonzero())
+    u, v = 2 * p, 2 * int(partners[p, c])
     monkeypatch.setattr(properties, "_norm_nonmultiplicative", _fires_at(256 + k, 1))
     report = check_norm_multiplicative(4, 5)
-    assert report.samples == 256 + int(picks[k - 1]) + 1
-    u, v = divmod(int(picks[k - 1]), len(rows))
+    assert int(hit.sum()) == 168
+    assert report.samples == 256 + u * len(rows) + v + 1
     assert [x.coords for x in report.counterexample] == [tuple(rows[u]), tuple(rows[v])]
 
 
