@@ -117,7 +117,7 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
     dim = args.level
     level = projective.level_for_dim(dim)
     rng = random.Random(args.seed)
-    errors = []
+    max_error = 0.0
     for m in range(3):
         f = projective.Functional(*(float(i == m) for i in range(3)))
         for _ in range(args.samples):
@@ -125,11 +125,10 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
             v = CDNumber(level, tuple(rng.gauss(0.0, 1.0) for _ in range(dim)))
             p = projective.chart_backward(f, u, v)
             u2, v2 = projective.chart_forward(f, p)
-            errors += [(u2 - u).max_abs(), (v2 - v).max_abs()]
             q = projective.equivalent_representative(p, rng)
             u3, v3 = projective.chart_forward(f, q)
-            errors += [(u3 - u2).max_abs(), (v3 - v2).max_abs()]
-    max_error = _max_size(errors)  # NaN when an error is NaN
+            errors = (e.max_abs() for e in (u2 - u, v2 - v, u3 - u2, v3 - v2))
+            max_error = _max_size((max_error, *errors))  # NaN once an error is NaN
     return _report_sampled(
         args,
         max_error,
@@ -141,16 +140,16 @@ def _cmd_chart_roundtrip(args: argparse.Namespace) -> int:
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     dim = args.level
     rng = random.Random(args.seed)
-    errors = []
+    max_error = 0.0
     for _ in range(args.samples):
         p = projective.random_triple_point(dim, rng)
         q = projective.equivalent_representative(p, rng)
         r = projective.equivalent_representative(q, rng)
         inv_p = projective.invariants_of(p)
-        errors += [inv_p.max_difference(projective.invariants_of(w)) for w in (q, r)]
+        drifts = (inv_p.max_difference(projective.invariants_of(w)) for w in (q, r))
+        max_error = _max_size((max_error, *drifts))  # NaN once a drift is NaN
         # a SeparationError exits 1; the lemma in separating_functional rules it out
         projective.separating_functional(p, projective.random_triple_point(dim, rng))
-    max_error = _max_size(errors)  # NaN when an error is NaN
     return _report_sampled(
         args,
         max_error,

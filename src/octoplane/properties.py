@@ -37,9 +37,9 @@ is |u|^2 |v|^2.  If they collide, uv is
 alpha = s_ik s_jl and beta = s_il s_jk, if alpha != beta exactly one
 coefficient vanishes and |uv|^2 = 4 for every s and t; if alpha = beta,
 |uv|^2 is 0 at t = -s alpha, a zero divisor, and 8 otherwise.  No such
-pair exists at levels <= 3.  The norm check multiplies only the s = t = +1
-pair of each (``_collisions``), the others judged by the lemma; the
-zero-divisor scan reads the same table, with no products.
+pair exists at levels <= 3.  Its one table, ``_zero_divisor_rows``, lists
+the zero divisors; the norm check starts its two-term phase at the first
+one's s = t = +1 pair, the first pair that breaks the norm.
 
 The two-generated check is no identity on a fixed number of elements,
 so it walks its candidate pairs one at a time: the two-term pairs at
@@ -157,16 +157,16 @@ _Candidates = Callable[[int, int], list[_Batch]]
 
 
 def _first_hit(
-    total: int, candidates: _Candidates, violates: Callable[..., np.ndarray]
+    total: int, candidates: _Candidates, violates: Callable[..., np.ndarray], start: int = 0
 ) -> tuple[int, Optional[tuple[CDNumber, ...]]]:
-    """Judge candidates 0 .. total - 1 of a stream in chunks, in order.
+    """Judge candidates start .. total - 1 of a stream in chunks, in order.
 
     Each chunk is one call of ``violates`` on the stream's slots.  Returns
     how many candidates were judged through the first violating one, as a
-    walk one candidate at a time counts them, and that candidate; or total
-    and None when none does.
+    walk one candidate at a time from candidate 0 counts them, and that
+    candidate; or total and None when none does.
     """
-    start, size = 0, _FIRST_CHUNK
+    size = _FIRST_CHUNK
     while start < total:
         stop = min(start + size, total)
         slots = candidates(start, stop)
@@ -179,17 +179,13 @@ def _first_hit(
     return total, None
 
 
-def _ordered_tuples(
-    level: int, rows: np.ndarray, arity: int, picks: Optional[np.ndarray] = None
-) -> _Candidates:
+def _ordered_tuples(level: int, rows: np.ndarray, arity: int) -> _Candidates:
     """The stream of ordered ``arity``-tuples of ``rows``, first slot major,
-    as ``itertools.product(rows, repeat=arity)`` orders them; with ``picks``,
-    only the tuples at those positions of that order, ascending."""
+    as ``itertools.product(rows, repeat=arity)`` orders them."""
     bound = _max_abs(rows)
 
     def candidates(start: int, stop: int) -> list[_Batch]:
-        index = np.arange(start, stop) if picks is None else picks[start:stop]
-        slots = []
+        index, slots = np.arange(start, stop), []
         for _ in range(arity):
             index, slot = np.divmod(index, len(rows))
             slots.append(_Batch(level, rows[slot], bound))
@@ -213,12 +209,12 @@ def _two_term_rows(level: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _collisions(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table of the two-term lemma (module docstring), one row per pair
-    p = (i, j), i < j, in the order of ``_two_term_rows``: the dim / 2
-    partners q = (k, l), k < l, with k ^ l = i ^ j, so l = i ^ j ^ k, in
-    ascending k; alpha = s_ik s_jl at each; and ``hit``, true where
-    alpha = beta = s_il s_jk, the colliding pairs that break the norm.
+def _zero_divisor_rows(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u, v of ``_two_term_rows`` of every pair with uv = 0, u major:
+    the two-term lemma (module docstring) as a table.  Each pair p = (i, j),
+    i < j, meets its dim / 2 partners q = (k, l), k < l, l = i ^ j ^ k, in
+    ascending k; where alpha = s_ik s_jl equals beta = s_il s_jk, rows 2p
+    and 2p + 1 (s = +1, -1) pair with t = -s alpha (row 2q + 1 at t = -1).
     """
     dim = 1 << level
     i, j = np.triu_indices(dim, 1)
@@ -228,9 +224,10 @@ def _collisions(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     signs = np.array(_signs(level), dtype=np.int8)
     alpha = signs[i, k] * signs[j, l]
     hit = alpha == signs[i, l] * signs[j, k]
-    for table in (partners, alpha, hit):
-        table.flags.writeable = False  # shared between calls
-    return partners, alpha, hit
+    p, s, c = np.broadcast_to(hit[:, None], (len(hit), 2, hit.shape[1])).nonzero()
+    u, v = 2 * p + s, 2 * partners[p, c] + (s ^ (alpha[p, c] == 1))
+    u.flags.writeable = v.flags.writeable = False  # shared between calls
+    return u, v
 
 
 def _random_tuples(level: int, seed: int, arity: int) -> _Candidates:
@@ -272,29 +269,26 @@ def _sweep(
     the counterexample.  Every phase is a candidate stream judged by
     ``_first_hit``: the unit basis rows, the two-term rows when
     ``two_term`` is set and level >= 4, then ``samples`` random tuples.
-    With ``colliding`` the two-term phase reads only the s = t = +1 pair
-    of each ``_collisions`` hit, for the norm identity: by the two-term
-    lemma no other pair breaks it, and the first pair that does is the
-    first hit's s = t = +1.  The pairs it skips count as judged, so the
-    judged count is that of the whole stream.
+    With ``colliding`` the two-term phase starts at the s = t = +1 pair of
+    the first ``_zero_divisor_rows`` row, for the norm identity: by the
+    two-term lemma it is the first pair in stream order that breaks it, so
+    the pairs before it count as judged without a product, and the
+    judged count is that of a walk over the whole stream.
     """
     level = _int_arg("level", level, 0, TABLE_LEVEL_CAP)
     samples = _int_arg("samples", samples, 1)
     dim = 1 << level
-    phases = [(dim**arity, None, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
+    phases = [(dim**arity, 0, _ordered_tuples(level, np.eye(dim, dtype=np.int64), arity))]
     if two_term and level >= 4:
-        rows = _two_term_rows(level)
-        picks = None
-        if colliding:  # rows 2p and 2q of each hit: s = t = +1
-            partners, _, hit = _collisions(level)
-            picks = 2 * len(rows) * hit.nonzero()[0] + 2 * partners[hit]
-        phases.append((len(rows) ** arity, picks, _ordered_tuples(level, rows, arity, picks)))
-    phases.append((samples, None, _random_tuples(level, seed, arity)))
+        rows, start = _two_term_rows(level), 0
+        if colliding:
+            u, v = _zero_divisor_rows(level)
+            start = int(len(rows) * u[0] + (v[0] & ~1))  # t = +1: row 2q
+        phases.append((len(rows) ** arity, start, _ordered_tuples(level, rows, arity)))
+    phases.append((samples, 0, _random_tuples(level, seed, arity)))
     tested = 0
-    for phase, (total, picks, candidates) in enumerate(phases):
-        judged, hit = _first_hit(total if picks is None else len(picks), candidates, violates)
-        if picks is not None:
-            judged = total if hit is None else int(picks[judged - 1]) + 1
+    for phase, (total, start, candidates) in enumerate(phases):
+        judged, hit = _first_hit(total, candidates, violates, start)
         tested += total if phase == 0 else judged  # the basis phase counts whole
         if hit is not None:
             return PropertyReport(name, level, "fails", hit, tested)
@@ -332,22 +326,14 @@ def check_flexible(level: int, samples: int, seed: int = 0) -> PropertyReport:
 def check_norm_multiplicative(level: int, samples: int, seed: int = 0) -> PropertyReport:
     """|xy|^2 = |x|^2 |y|^2 exactly; fails from the sedenions on.
 
-    From level 4 up the check also sweeps the two-term pairs, judged by the
-    two-term lemma: it multiplies one pair of each ``_collisions`` hit.
+    From level 4 up it also sweeps the two-term pairs, from the s = t = +1
+    pair of the first zero divisor on: by the two-term lemma no pair before
+    it breaks the norm, so those count as judged.
     """
     violates = _norm_nonmultiplicative
     return _sweep(
         "norm_multiplicative", level, samples, seed, 2, violates, two_term=True, colliding=True
     )
-
-
-def _zero_divisor_rows(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows u, v of ``_two_term_rows`` of every pair with uv = 0, u major: by
-    the two-term lemma, each ``_collisions`` hit at s = +1 and -1 (rows 2p
-    and 2p + 1) with t = -s alpha (row 2q + 1 when t = -1)."""
-    partners, alpha, hit = _collisions(level)
-    p, s, c = np.broadcast_to(hit[:, None], (len(hit), 2, hit.shape[1])).nonzero()
-    return 2 * p + s, 2 * partners[p, c] + (s ^ (alpha[p, c] == 1))
 
 
 def find_zero_divisors(level: int) -> list[tuple[CDNumber, CDNumber]]:

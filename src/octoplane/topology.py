@@ -551,16 +551,18 @@ def linking_hopf_invariant(
     """Linking number of two fibers of the complex classifying map.
 
     Samples pairs of regular values v1, v2 on the 2-sphere with
-    |v1 x v2| >= sin 0.1 (an angle in [0.1, pi - 0.1]), builds their fiber
+    |v1 x v2| >= sin 0.2 (an angle in [0.2, pi - 0.2]), builds their fiber
     circles on the 3-sphere, and projects stereographically from a point on
     the fiber over -(v1 + v2) / |v1 + v2|, the point farthest from both
-    values.  That point is at least pi/2 + 0.05 from each, and fibers over
-    points b apart are 2 sin(b/4) apart, so the pole is at least 0.788 from
-    both circles.  The Gauss integral is rounded.  Any two fibers of the
-    Hopf map link once, and with this orientation the linking number is
-    +1, so each sampled pair must round to that proven value, and 1 is
-    returned.  This is the numerical oracle for the complex case,
-    independent of the bidegree proxy.
+    values.  Fibers over points b apart are 2 sin(b/4) apart, so the two
+    circles are at least 2 sin 0.05 = 0.0999 apart, one segment length at
+    the smallest ``segments`` (2 pi / 64 = 0.098), and the pole, at least
+    pi/2 + 0.1 from each value, is at least 0.811 from both circles.  The
+    Gauss integral is rounded.  Any two fibers of the Hopf map link once,
+    and with this orientation the linking number is +1, so each sampled
+    pair must round to that proven value, and 1 is returned.  This is the
+    numerical oracle for the complex case, independent of the bidegree
+    proxy.
     """
     segments = _int_arg("segments", segments, 64, 1024)  # the Gauss sum builds N x N x 3 arrays
     samples = _int_arg("samples", samples, 1)
@@ -573,7 +575,7 @@ def linking_hopf_invariant(
             if n1 < 1e-6 or n2 < 1e-6:
                 continue
             v1, v2 = v1 / n1, v2 / n2
-            if float(np.linalg.norm(np.cross(v1, v2))) >= math.sin(0.1):
+            if float(np.linalg.norm(np.cross(v1, v2))) >= math.sin(0.2):
                 break
         else:
             raise GeometryError("could not sample well-separated regular values")

@@ -370,12 +370,18 @@ def test_sampled_checks_fail_at_the_tolerance(capsys, monkeypatch):
 
 
 def test_verdict_mismatches_exit_1(capsys, monkeypatch):
-    # a scan that finds no sedenion zero divisor contradicts the tower; both
-    # zero-divisors and audit-all's division check read the one scan
+    # a scan that finds no sedenion zero divisor contradicts the tower
     scan = properties._zero_divisor_rows
     monkeypatch.setattr(properties, "_zero_divisor_rows", lambda level: scan(0))
     code, doc = run_json(capsys, "zero-divisors", "--level", "4")
     assert code == 1 and doc["match"] is False
+    # and so does a division check that holds at level 4; the norm check
+    # reads the same scan, so it is restored first
+    monkeypatch.undo()
+    def dividing(level):
+        return properties.PropertyReport("division", level, "holds", None, 0)
+
+    monkeypatch.setattr(properties, "check_division", dividing)
     code, doc = run_json(capsys, "audit-all", "--samples", "5")
     assert code == 1 and doc["all_match"] is False
     # and so does commutative octonion multiplication

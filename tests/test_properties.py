@@ -13,7 +13,6 @@ from octoplane import properties
 from octoplane.algebra import CDNumber, _Batch, _max_abs, basis_element, cd_to_json
 from octoplane.properties import (
     RANDOM_EXACT_SPAN,
-    _collisions,
     _extend_echelon,
     _first_hit,
     _nonalternative,
@@ -25,6 +24,7 @@ from octoplane.properties import (
     _random_tuples,
     _subalgebra_basis,
     _two_term_rows,
+    _zero_divisor_rows,
     associator,
     check_alternative,
     check_associative,
@@ -319,31 +319,46 @@ def test_only_colliding_two_term_pairs_break_the_norm(level, sample):
 
 @pytest.mark.parametrize("level", [4, 5])
 def test_colliding_pairs_are_the_pairs_whose_axes_meet(level):
+    # the lemma's zero divisors from the oracle's signs, u major: the axes
+    # collide, alpha = beta, and t = -s alpha
     dim = 1 << level
     axes = list(itertools.combinations(range(dim), 2))
-    partners, alpha, hit = _collisions(level)
+    expected = []
     for p, (i, j) in enumerate(axes):
-        expected = [q for q, (k, l) in enumerate(axes) if k ^ l == i ^ j]
-        assert partners[p].tolist() == expected
-        for c, (k, l) in enumerate(axes[q] for q in expected):
-            assert alpha[p, c] == _ref_sign(dim, i, k) * _ref_sign(dim, j, l)
-            assert hit[p, c] == (alpha[p, c] == _ref_sign(dim, i, l) * _ref_sign(dim, j, k))
+        for s in (1, -1):
+            for q, (k, l) in enumerate(axes):
+                if k ^ l != i ^ j:
+                    continue
+                alpha = _ref_sign(dim, i, k) * _ref_sign(dim, j, l)
+                if alpha == _ref_sign(dim, i, l) * _ref_sign(dim, j, k):
+                    expected.append((2 * p + (s < 0), 2 * q + (-s * alpha < 0)))
+    u, v = _zero_divisor_rows(level)
+    assert list(zip(u.tolist(), v.tolist())) == expected
 
 
 @pytest.mark.parametrize("level", range(4))
 def test_no_two_term_pair_breaks_the_norm_through_the_octonions(level):
-    partners, alpha, hit = _collisions(level)
-    dim = 1 << level
-    assert partners.shape == alpha.shape == hit.shape == (dim * (dim - 1) // 2, dim // 2)
-    assert not hit.any()
+    u, v = _zero_divisor_rows(level)
+    assert len(u) == len(v) == 0
 
 
 def test_colliding_pair_count_at_the_top_level():
-    partners, alpha, hit = _collisions(6)
-    assert partners.shape == (len(_two_term_rows(6)) // 2, 32)
-    assert 2 * int(hit.sum()) == len(find_zero_divisors(6)) == 52080
-    assert partners.nbytes + alpha.nbytes + hit.nbytes < 2**20
-    assert not any(table.flags.writeable for table in (partners, alpha, hit))
+    u, v = _zero_divisor_rows(6)
+    assert len(u) == len(v) == len(find_zero_divisors(6)) == 52080
+    assert u.nbytes + v.nbytes < 2**20
+    assert not u.flags.writeable and not v.flags.writeable
+
+
+@pytest.mark.parametrize("level, position", [(4, 11_168), (5, 77_632)])
+def test_norm_two_term_phase_skips_only_pairs_that_keep_the_norm(level, position):
+    # the oracle's products alone: the first ordered two-term pair with
+    # |uv|^2 != 4 is where the phase starts, and the pairs before it count
+    dim = 1 << level
+    sign_rows, terms = _ref_sign_rows(dim), _ref_two_term_axes(dim)
+    pairs = itertools.product(terms, repeat=2)
+    first = next(n for n, (u, v) in enumerate(pairs) if _ref_product_norm(sign_rows, u, v) != 4)
+    assert first == position
+    assert check_norm_multiplicative(level, 1).samples == first + 1 + dim**2
 
 
 # -- two-generated subalgebras -------------------------------------------------
@@ -713,18 +728,37 @@ def test_two_term_phase_reports_are_pinned(checker, level, samples, witness):
     assert violates(*coords)
 
 
-@pytest.mark.parametrize("k", [1, 64, 65, 168])
+@pytest.mark.parametrize("k", [1, 64, 65, 193])
 def test_norm_two_term_phase_counts_the_pairs_before_its_hit(monkeypatch, k):
-    # the s = t = +1 pair of the k-th of the 168 hits fires: every pair of
-    # the whole stream up to it counts
-    rows, (partners, _, hit) = _two_term_rows(4), _collisions(4)
-    p, c = (int(x[k - 1]) for x in hit.nonzero())
-    u, v = 2 * p, 2 * int(partners[p, c])
+    # the phase starts at the first zero divisor's s = t = +1 pair, and the
+    # k-th pair from there fires: every pair of the whole stream up to it counts
+    rows, (u, v) = _two_term_rows(4), _zero_divisor_rows(4)
+    start = len(rows) * int(u[0]) + (int(v[0]) & ~1)
     monkeypatch.setattr(properties, "_norm_nonmultiplicative", _fires_at(256 + k, 1))
     report = check_norm_multiplicative(4, 5)
-    assert int(hit.sum()) == 168
-    assert report.samples == 256 + u * len(rows) + v + 1
-    assert [x.coords for x in report.counterexample] == [tuple(rows[u]), tuple(rows[v])]
+    assert start == 11_168
+    assert report.samples == 256 + start + k
+    x, y = divmod(start + k - 1, len(rows))
+    assert [w.coords for w in report.counterexample] == [tuple(rows[x]), tuple(rows[y])]
+
+
+@pytest.mark.parametrize("checker, level, k", [
+    (check_commutative, 1, 1), (check_commutative, 1, 5), (check_commutative, 1, 69),
+    (check_alternative, 4, 257), (check_alternative, 4, 321),
+])
+def test_sweep_judges_each_phase_from_its_first_candidate(monkeypatch, checker, level, k):
+    # the k-th candidate of the sweep fires: the basis phase counts whole,
+    # and a later phase counts every candidate up to its hit
+    name = {check_commutative: "_noncommuting", check_alternative: "_nonalternative"}[checker]
+    monkeypatch.setattr(properties, name, _fires_at(k, 1, RANDOM_EXACT_SPAN))
+    report = checker(level, 100, seed=3)
+    units = np.eye(1 << level, dtype=np.int64)
+    walk = _ordered_walk(level, units, 2)
+    if level >= 4:
+        walk += _ordered_walk(level, _two_term_rows(level), 2)
+    walk += _random_walk(level, 3, 2, 100)
+    assert report.samples == max(k, len(units) ** 2)
+    assert report.counterexample == walk[k - 1]
 
 
 def test_norm_two_term_phase_without_a_hit_counts_the_whole_stream(monkeypatch):
@@ -737,13 +771,13 @@ def test_norm_two_term_phase_without_a_hit_counts_the_whole_stream(monkeypatch):
 # -- the chunk loop ----------------------------------------------------------------
 
 
-def _fires_at(k, bound):
+def _fires_at(k, *bounds):
     """A predicate true only at the k-th candidate it is shown, counting from
-    1, that checks each slot carries ``bound`` and keeps within it."""
+    1, that checks each slot carries one of ``bounds`` and keeps within it."""
     seen = [0]
 
     def violates(*slots):
-        assert all(s.bound == bound >= _max_abs(s.rows) for s in slots)
+        assert all(s.bound in bounds and s.bound >= _max_abs(s.rows) for s in slots)
         hits = np.zeros(len(slots[0].rows), dtype=bool)
         if 0 <= k - 1 - seen[0] < len(hits):
             hits[k - 1 - seen[0]] = True
@@ -765,15 +799,17 @@ def _ordered_walk(level, rows, arity):
     return list(itertools.product(elements, repeat=arity))
 
 
-#: (name, total, a fresh stream, its entry bound, its candidates walked
-#: one at a time); a random stream is read once, from its start, so each test
-#: builds its own
+#: (name, total, the first candidate judged, a fresh stream, its entry
+#: bound, its candidates walked one at a time); a random stream is read
+#: once, from candidate 0, so each test builds its own
 CHUNK_STREAMS = [
-    ("basis", 8**3, lambda: _ordered_tuples(3, np.eye(8, dtype=np.int64), 3), 1,
+    ("basis", 8**3, 0, lambda: _ordered_tuples(3, np.eye(8, dtype=np.int64), 3), 1,
      lambda: _ordered_walk(3, np.eye(8, dtype=np.int64), 3)),
-    ("two-term", 56**2, lambda: _ordered_tuples(3, _two_term_rows(3), 2), 1,
+    ("two-term", 56**2, 0, lambda: _ordered_tuples(3, _two_term_rows(3), 2), 1,
      lambda: _ordered_walk(3, _two_term_rows(3), 2)),
-    ("random", 300, lambda: _random_tuples(2, 5, 2), RANDOM_EXACT_SPAN,
+    ("two-term-from-1000", 56**2, 1000, lambda: _ordered_tuples(3, _two_term_rows(3), 2), 1,
+     lambda: _ordered_walk(3, _two_term_rows(3), 2)),
+    ("random", 300, 0, lambda: _random_tuples(2, 5, 2), RANDOM_EXACT_SPAN,
      lambda: _random_walk(2, 5, 2, 300)),
 ]
 
@@ -781,13 +817,14 @@ CHUNK_STREAMS = [
 @pytest.mark.parametrize("stream", CHUNK_STREAMS, ids=lambda s: s[0])
 @pytest.mark.parametrize("k", [1, 64, 65, 192, 193, "last"])
 def test_first_hit_counts_across_chunk_boundaries(stream, k):
-    # chunks hold 64, 128, 256, then 512 candidates: 64 and 192 end a chunk,
-    # 65 and 193 open the next
-    _, total, candidates, bound, walk = stream
-    k = total if k == "last" else k
-    count, hit = _first_hit(total, candidates(), _fires_at(k, bound))
-    assert count == k
-    assert hit == walk()[k - 1]
+    # chunks hold 64, 128, 256, then 512 candidates from the first judged:
+    # 64 and 192 end a chunk, 65 and 193 open the next; the candidates
+    # before the first judged count as judged
+    _, total, start, candidates, bound, walk = stream
+    k = total - start if k == "last" else k
+    count, hit = _first_hit(total, candidates(), _fires_at(k, bound), start)
+    assert count == start + k
+    assert hit == walk()[start + k - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 4242])
@@ -807,8 +844,8 @@ def test_random_stream_draws_as_randint_draws(seed):
 
 @pytest.mark.parametrize("stream", CHUNK_STREAMS, ids=lambda s: s[0])
 def test_first_hit_without_a_hit_judges_every_candidate(stream):
-    _, total, candidates, bound, _ = stream
-    assert _first_hit(total, candidates(), _fires_at(0, bound)) == (total, None)
+    _, total, start, candidates, bound, _ = stream
+    assert _first_hit(total, candidates(), _fires_at(0, bound), start) == (total, None)
 
 
 @pytest.mark.parametrize("scale", [1, 2**20, 2**40])
